@@ -10,11 +10,9 @@ package mach_test
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"mach"
-	"mach/internal/bench"
 	"mach/internal/codec"
 	"mach/internal/dram"
 	"mach/internal/experiments"
@@ -25,32 +23,6 @@ import (
 	"mach/internal/stats"
 	"mach/internal/video"
 )
-
-// emitRecord merges this benchmark's result into the report file named by
-// MACH_BENCH_JSON (no-op when unset). CI sets it so the `go test -bench`
-// wrappers land in the same BENCH_machsim.json the machbench harness
-// writes, under a gotest/ prefix. Benchmarks are re-invoked with growing
-// b.N; every invocation overwrites the same record, so the final (longest)
-// measurement wins.
-func emitRecord(b *testing.B) {
-	b.Helper()
-	path := os.Getenv("MACH_BENCH_JSON")
-	if path == "" || b.N == 0 || b.Elapsed() == 0 {
-		return
-	}
-	nsPerOp := b.Elapsed().Nanoseconds() / int64(b.N)
-	if nsPerOp < 1 {
-		nsPerOp = 1
-	}
-	err := bench.AppendRecord(path, bench.Record{
-		Name:       "gotest/" + b.Name(),
-		Iterations: int64(b.N),
-		NsPerOp:    nsPerOp,
-	})
-	if err != nil {
-		b.Fatalf("emitRecord: %v", err)
-	}
-}
 
 // benchConfig is the experiment scale used by the figure benchmarks: the
 // calibrated reference resolution with a bounded frame count per workload.
@@ -66,7 +38,6 @@ func benchConfig(videos int, frames int) experiments.Config {
 // runFigure runs one experiment per iteration and logs its table once.
 func runFigure(b *testing.B, cfg experiments.Config, f func(r *experiments.Runner) (*stats.Table, error)) {
 	b.Helper()
-	defer emitRecord(b)
 	r := experiments.NewRunner(cfg)
 	for i := 0; i < b.N; i++ {
 		tb, err := f(r)
@@ -162,7 +133,6 @@ func BenchmarkDCCCombination(b *testing.B) {
 // BenchmarkAdaptiveBatching covers §3.3's adaptivity claim: batching
 // whatever the bursty network delivered still saves energy.
 func BenchmarkAdaptiveBatching(b *testing.B) {
-	defer emitRecord(b)
 	sc := mach.DefaultStreamConfig()
 	sc.NumFrames = 48
 	tr, err := mach.BuildTrace("V11", sc)
@@ -200,7 +170,6 @@ func BenchmarkAdaptiveBatching(b *testing.B) {
 // BenchmarkAblationCoalescing measures the §4.4 coalescing write buffers:
 // without them every pointer/base write costs a full line transaction.
 func BenchmarkAblationCoalescing(b *testing.B) {
-	defer emitRecord(b)
 	sc := mach.DefaultStreamConfig()
 	sc.NumFrames = 48
 	tr, err := mach.BuildTrace("V1", sc)
@@ -233,7 +202,6 @@ func BenchmarkAblationCoalescing(b *testing.B) {
 // BenchmarkAblationRowTimeout sweeps the DRAM row-open timeout, the
 // mechanism behind the racing benefit (Fig 5a).
 func BenchmarkAblationRowTimeout(b *testing.B) {
-	defer emitRecord(b)
 	sc := mach.DefaultStreamConfig()
 	sc.NumFrames = 48
 	tr, err := mach.BuildTrace("V1", sc)
@@ -312,7 +280,6 @@ func benchFrame(b *testing.B) *codec.Frame {
 }
 
 func BenchmarkCodecEncodeFrame(b *testing.B) {
-	defer emitRecord(b)
 	fr := benchFrame(b)
 	p := codec.DefaultParams(320, 180)
 	b.SetBytes(int64(fr.SizeBytes()))
@@ -329,7 +296,6 @@ func BenchmarkCodecEncodeFrame(b *testing.B) {
 }
 
 func BenchmarkCodecDecodeFrame(b *testing.B) {
-	defer emitRecord(b)
 	fr := benchFrame(b)
 	p := codec.DefaultParams(320, 180)
 	enc, _ := codec.NewEncoder(p)
@@ -348,7 +314,6 @@ func BenchmarkCodecDecodeFrame(b *testing.B) {
 }
 
 func BenchmarkCRC32Digest(b *testing.B) {
-	defer emitRecord(b)
 	blk := make([]byte, 48)
 	for i := range blk {
 		blk[i] = byte(i * 7)
@@ -360,7 +325,6 @@ func BenchmarkCRC32Digest(b *testing.B) {
 }
 
 func BenchmarkCRC16Digest(b *testing.B) {
-	defer emitRecord(b)
 	blk := make([]byte, 48)
 	b.SetBytes(48)
 	for i := 0; i < b.N; i++ {
@@ -369,7 +333,6 @@ func BenchmarkCRC16Digest(b *testing.B) {
 }
 
 func BenchmarkGabTransform(b *testing.B) {
-	defer emitRecord(b)
 	mab := make([]byte, 48)
 	gab := make([]byte, 48)
 	var base [3]byte
@@ -380,7 +343,6 @@ func BenchmarkGabTransform(b *testing.B) {
 }
 
 func BenchmarkMachWritebackFrame(b *testing.B) {
-	defer emitRecord(b)
 	fr := benchFrame(b)
 	b.SetBytes(int64(fr.SizeBytes()))
 	b.ResetTimer()
@@ -394,7 +356,6 @@ func BenchmarkMachWritebackFrame(b *testing.B) {
 }
 
 func BenchmarkDRAMSequentialAccess(b *testing.B) {
-	defer emitRecord(b)
 	m := dram.New(dram.DefaultConfig())
 	now := sim.Time(0)
 	b.SetBytes(64)
@@ -407,7 +368,6 @@ func BenchmarkDRAMSequentialAccess(b *testing.B) {
 }
 
 func BenchmarkPipelineFrameGAB(b *testing.B) {
-	defer emitRecord(b)
 	sc := mach.DefaultStreamConfig()
 	sc.NumFrames = 48
 	tr, err := mach.BuildTrace("V1", sc)

@@ -100,17 +100,23 @@ func Dequantize(block []int32, step int32) {
 	}
 }
 
-// zigzagCache memoizes scan orders per block size.
-var zigzagCache = map[int][]int{}
+// zigzagOrders holds the scan order of every valid block size (a power of
+// two in [2,16]). It is built at package init and only read afterwards, so
+// encoders and decoders on concurrent goroutines share it without locking.
+var zigzagOrders = [...][]int{2: zigzag(2), 4: zigzag(4), 8: zigzag(8), 16: zigzag(16)}
 
 // ZigZag returns the zig-zag scan order for an NxN block: the permutation
 // from raster index to scan position, ordering coefficients by increasing
 // anti-diagonal (low frequencies first), which groups trailing zeros for the
 // run-length coder.
 func ZigZag(n int) []int {
-	if z, ok := zigzagCache[n]; ok {
-		return z
+	if n < len(zigzagOrders) && zigzagOrders[n] != nil {
+		return zigzagOrders[n]
 	}
+	return zigzag(n)
+}
+
+func zigzag(n int) []int {
 	order := make([]int, 0, n*n)
 	for s := 0; s <= 2*(n-1); s++ {
 		if s%2 == 0 { // walk up-right
@@ -123,7 +129,6 @@ func ZigZag(n int) []int {
 			}
 		}
 	}
-	zigzagCache[n] = order
 	return order
 }
 

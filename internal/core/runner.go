@@ -299,9 +299,8 @@ func NewRunner(tr *trace.Trace, s Scheme, cfg Config) (*Runner, error) {
 // frames decoded so far).
 func (r *Runner) Frame() int { return r.frame }
 
-// PrehashWall exposes the writeback engine's prehash host-time accumulator,
-// the Amdahl share the benchmark harness uses to bound the parallel
-// engine's speedup on machines without idle cores.
+// PrehashWall exposes the writeback engine's prehash host-time accumulator.
+// It is read by the repository benchmark as `mach.prehash_ms`.
 func (r *Runner) PrehashWall() time.Duration { return r.wb.PrehashWall() }
 
 // Done reports whether every frame has been decoded.

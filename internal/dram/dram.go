@@ -164,7 +164,7 @@ type bank struct {
 }
 
 // Memory is the simulated device pool. It is not safe for concurrent use;
-// the discrete-event engine serializes callers.
+// the core.Runner frame-step machine serializes callers.
 type Memory struct {
 	cfg   Config
 	banks []bank

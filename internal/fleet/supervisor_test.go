@@ -148,7 +148,7 @@ func TestWatchdogRestartsStalledShard(t *testing.T) {
 	}
 	start := time.Now()
 	agg, err := sup.Run(RunOptions{
-		Hooks:    Injector{StallShard: 1}.Hooks(),
+		Hooks: Injector{StallShard: 1}.Hooks(),
 		// The deadline must be generous enough that a healthy chunk always
 		// publishes progress first, even under the race detector's slowdown;
 		// the injected stall makes no progress at all, so it still trips.

@@ -11,7 +11,7 @@ import (
 // per-frame loop (core.Runner.StepFrame and everything it reaches) is the
 // engine's steady state: any heap allocation there repeats tens of
 // thousands of times per run, churns the GC, and is exactly the regression
-// the committed 0-allocs/op StepFrame bench gate exists to catch. The gate
+// the 0-allocs StepFrame test in internal/core exists to catch. The test
 // catches the regression after the fact; this analyzer points at the line.
 //
 // Roots are declared in the source with `//lint:hotpath <reason>` on a

@@ -32,12 +32,12 @@ import (
 // funcNode is one analyzable function: a declared function/method or a
 // function literal.
 type funcNode struct {
-	fn   *types.Func   // nil for literals
-	lit  *ast.FuncLit  // nil for declarations
-	name string        // diagnostic name
-	body *ast.BlockStmt
-	sig  *types.Signature
-	recv *types.Var   // receiver object, nil if none
+	fn     *types.Func  // nil for literals
+	lit    *ast.FuncLit // nil for declarations
+	name   string       // diagnostic name
+	body   *ast.BlockStmt
+	sig    *types.Signature
+	recv   *types.Var   // receiver object, nil if none
 	params []*types.Var // declared parameters in order (nil entries for _ / unnamed)
 
 	pass      *Pass     // engine pass of the owning package

@@ -52,13 +52,13 @@ type effect struct {
 
 // summary is the per-function fact table.
 type summary struct {
-	timeRand     *effect
-	writesGlobal *effect
-	rangesGlobal *effect
-	writesRecv   *effect
-	rangesRecv   *effect
-	writesParam  []*effect
-	rangesParam  []*effect
+	timeRand       *effect
+	writesGlobal   *effect
+	rangesGlobal   *effect
+	writesRecv     *effect
+	rangesRecv     *effect
+	writesParam    []*effect
+	rangesParam    []*effect
 	writesCaptured map[*types.Var]*effect
 	rangesCaptured map[*types.Var]*effect
 
@@ -158,8 +158,8 @@ type rootRef struct {
 // including a flow-insensitive alias pass so a local bound to shared state
 // (`m := r.layoutByDisp`) classifies like the state it aliases.
 type classifier struct {
-	g   *callGraph
-	n   *funcNode
+	g       *callGraph
+	n       *funcNode
 	aliases map[*types.Var][]rootRef
 }
 

@@ -5,7 +5,7 @@ import "testing"
 // prehashFrame fills per-mab digest slots that persist across frames
 // (prehash.resize caps growth with cap() guards), so after the first frame
 // of a given geometry the phase must be allocation-free — the invariant the
-// engine-wide 0-allocs/op StepFrame bench gate depends on.
+// engine-wide 0-allocs StepFrame test in internal/core depends on.
 func TestPrehashSlotReuseDoesNotAllocate(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CoMach = true // exercise the aux slots too

@@ -48,13 +48,6 @@ type Config struct {
 	// TrackCollisions verifies matches against true content fingerprints
 	// (measurement-only shadow state, Fig 12d).
 	TrackCollisions bool
-	// FastFingerprint swaps the TrackCollisions shadow fingerprint from MD5
-	// to the from-scratch 128-bit mixer in internal/hashes. The fingerprint
-	// only verifies matches (it is never a MACH tag), so a non-cryptographic
-	// mixer detects the same false matches at a fraction of the hot-path
-	// cost; MD5 stays the default so existing measurement runs reproduce
-	// bit-identically.
-	FastFingerprint bool
 	// TrackPopularity counts matches per digest (Fig 9b).
 	TrackPopularity bool
 }
@@ -182,7 +175,7 @@ type Writeback struct {
 	cfg     Config
 	current *digestCache
 	history []*digestCache // newest first
-	co *coMach // reset empty at the top of every ProcessFrame (§6.3); no cross-frame state
+	co      *coMach        // reset empty at the top of every ProcessFrame (§6.3); no cross-frame state
 
 	stats  Stats
 	shadow map[uint64][16]byte // ptr -> content fingerprint (TrackCollisions)
@@ -221,19 +214,17 @@ type Writeback struct {
 	freeCaches []*digestCache
 
 	// prehashWall accumulates host wall time spent in the prehash phase.
-	// It is measurement plumbing for the benchmark harness (the Amdahl
-	// share that bounds the parallel engine's speedup) — never simulation
-	// state: it does not feed any simulated quantity, is excluded from
-	// Stats and State, and merely reading the host clock cannot perturb the
-	// virtual timeline.
+	// It is measurement plumbing for the repository benchmark — never
+	// simulation state: it does not feed any simulated quantity, is
+	// excluded from Stats and State, and merely reading the host clock
+	// cannot perturb the virtual timeline.
 	//lint:derived host-clock benchmark instrumentation, not simulation state; a restored engine restarts the accumulator at zero
 	prehashWall time.Duration
 }
 
 // PrehashWall returns the accumulated host wall time of the prehash phase,
-// the portion of the engine's work the pool shards. The benchmark harness
-// divides it by the engine width to report the work-conserving parallel
-// bound on machines without idle cores (see EXPERIMENTS.md).
+// the portion of the engine's work the pool shards. It is read by the
+// repository benchmark as `mach.prehash_ms` (see benchmark/README.md).
 func (w *Writeback) PrehashWall() time.Duration { return w.prehashWall }
 
 // Recycle hands a retired frame layout back to the engine for reuse. The
@@ -357,7 +348,7 @@ func (w *Writeback) prehashFrame(fr *codec.Frame, numMabs int) {
 		}
 		return
 	}
-	//lint:ignore allocheck the sharded path pays one closure plus the pool's goroutines per frame; the sequential engine, which the 0-allocs/op gate measures, takes the inline loop above
+	//lint:ignore allocheck the sharded path pays one closure plus the pool's goroutines per frame; the sequential engine, which the 0-allocs StepFrame test measures, takes the inline loop above
 	w.pool.ForShards(numMabs, prehashGrain, func(lo, hi, worker int) {
 		s := &w.scratch[worker]
 		for ord := lo; ord < hi; ord++ {
@@ -395,11 +386,7 @@ func (w *Writeback) hashOne(fr *codec.Frame, mabsPerRow, ord int, mab, gab []byt
 		w.pre.aux[ord] = hashes.CRC16CCITT(content)
 	}
 	if w.shadow != nil {
-		if cfg.FastFingerprint {
-			w.pre.fp[ord] = hashes.Fingerprint128(content)
-		} else {
-			w.pre.fp[ord] = md5.Sum(content)
-		}
+		w.pre.fp[ord] = md5.Sum(content)
 	}
 }
 
@@ -524,7 +511,7 @@ func (w *Writeback) ProcessFrame(fr *codec.Frame, displayIndex int, bufferBase, 
 	// frame content (digest, aux, gab base, shadow fingerprint). This is
 	// the only phase a pool shards; with no pool it runs inline, through
 	// the same code, so the two engines cannot diverge.
-	//lint:ignore determinism host-clock benchmark instrumentation: the measured duration feeds only the harness-facing PrehashWall accumulator, never any simulated quantity
+	//lint:ignore determinism host-clock benchmark instrumentation: the measured duration feeds only the PrehashWall accumulator the repository benchmark reads, never any simulated quantity
 	prehashStart := time.Now()
 	w.prehashFrame(fr, numMabs)
 	w.prehashWall += time.Since(prehashStart)

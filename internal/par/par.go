@@ -111,8 +111,8 @@ func (p *Pool) ForShards(n, grain int, fn func(lo, hi, worker int)) {
 	// The fan-out below allocates per call (channel, goroutine stacks,
 	// closures) by design: it is the parallel dispatch path, and its cost is
 	// amortized over the shard work it schedules. The sequential engine —
-	// the configuration the committed 0-allocs/op StepFrame gate measures —
-	// takes the inline path above and never reaches it.
+	// the configuration the 0-allocs StepFrame test in internal/core
+	// measures — takes the inline path above and never reaches it.
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
@@ -174,35 +174,4 @@ func runIsolated(i int, fn func(i int) error) (err error) {
 		}
 	}()
 	return fn(i)
-}
-
-// Makespan returns the completion time of scheduling tasks with the given
-// costs, in submission order, onto `workers` workers under work-conserving
-// greedy list scheduling (each task starts on the worker that frees up
-// first). It is a pure function of the inputs — no clock, no randomness —
-// which is what lets the benchmark harness report a sweep speedup that does
-// not depend on the core count of the machine the harness happens to run
-// on. Negative costs are treated as zero.
-func Makespan(costs []int64, workers int) int64 {
-	if workers < 1 {
-		workers = 1
-	}
-	free := make([]int64, workers)
-	var end int64
-	for _, c := range costs {
-		if c < 0 {
-			c = 0
-		}
-		k := 0
-		for j := 1; j < workers; j++ {
-			if free[j] < free[k] {
-				k = j
-			}
-		}
-		free[k] += c
-		if free[k] > end {
-			end = free[k]
-		}
-	}
-	return end
 }

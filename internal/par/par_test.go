@@ -157,45 +157,3 @@ func TestNewClampsWidth(t *testing.T) {
 		t.Fatalf("New(5).Workers() = %d", got)
 	}
 }
-
-func TestMakespan(t *testing.T) {
-	cases := []struct {
-		costs   []int64
-		workers int
-		want    int64
-	}{
-		{nil, 4, 0},
-		{[]int64{10}, 4, 10},
-		{[]int64{10, 10, 10, 10}, 4, 10},
-		{[]int64{10, 10, 10, 10}, 2, 20},
-		{[]int64{10, 10, 10, 10}, 1, 40},
-		{[]int64{8, 4, 4, 4}, 2, 12},      // 8 | 4+4+4
-		{[]int64{5, -3, 5}, 2, 5},         // negative clamps to zero
-		{[]int64{1, 2, 3, 4, 5}, 0, 15},   // workers clamps to 1
-		{[]int64{9, 1, 1, 1, 1, 1}, 3, 9}, // long pole dominates
-	}
-	for _, c := range cases {
-		if got := Makespan(c.costs, c.workers); got != c.want {
-			t.Errorf("Makespan(%v,%d) = %d, want %d", c.costs, c.workers, got, c.want)
-		}
-	}
-}
-
-// TestMakespanWorkConserving: with divisible work, N workers are N times
-// faster — the bound the benchmark's scheduled-speedup metric reports.
-func TestMakespanWorkConserving(t *testing.T) {
-	costs := make([]int64, 16)
-	var total int64
-	for i := range costs {
-		costs[i] = int64(100 + i)
-		total += costs[i]
-	}
-	seq := Makespan(costs, 1)
-	if seq != total {
-		t.Fatalf("sequential makespan %d != total %d", seq, total)
-	}
-	par := Makespan(costs, 4)
-	if par >= seq || par < total/4 {
-		t.Fatalf("4-worker makespan %d outside (%d,%d)", par, total/4, seq)
-	}
-}

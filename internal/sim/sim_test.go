@@ -67,114 +67,3 @@ func TestHertzCyclesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestEngineOrdering(t *testing.T) {
-	e := NewEngine()
-	var got []int
-	e.Schedule(30, "c", func(Time) { got = append(got, 3) })
-	e.Schedule(10, "a", func(Time) { got = append(got, 1) })
-	e.Schedule(20, "b", func(Time) { got = append(got, 2) })
-	e.Schedule(20, "b2", func(Time) { got = append(got, 22) }) // FIFO at same time
-	end := e.Run()
-	if end != 30 {
-		t.Fatalf("end = %v", end)
-	}
-	want := []int{1, 2, 22, 3}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
-		}
-	}
-}
-
-func TestEngineScheduleFromHandler(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	var tick func(now Time)
-	tick = func(now Time) {
-		count++
-		if count < 5 {
-			e.After(10, "tick", tick)
-		}
-	}
-	e.Schedule(0, "tick", tick)
-	e.Run()
-	if count != 5 {
-		t.Fatalf("count = %d", count)
-	}
-	if e.Now() != 40 {
-		t.Fatalf("now = %v", e.Now())
-	}
-	if e.Fired() != 5 {
-		t.Fatalf("fired = %d", e.Fired())
-	}
-}
-
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.Schedule(10, "x", func(Time) { fired = true })
-	e.Cancel(ev)
-	if !ev.Cancelled() {
-		t.Fatal("event not marked cancelled")
-	}
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	e.Cancel(ev) // double cancel is a no-op
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	var got []int
-	e.Schedule(10, "a", func(Time) { got = append(got, 1) })
-	e.Schedule(30, "b", func(Time) { got = append(got, 2) })
-	e.RunUntil(20)
-	if len(got) != 1 || e.Now() != 20 {
-		t.Fatalf("got %v now %v", got, e.Now())
-	}
-	e.RunUntil(100)
-	if len(got) != 2 || e.Now() != 100 {
-		t.Fatalf("got %v now %v", got, e.Now())
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d", e.Pending())
-	}
-}
-
-func TestEngineHalt(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	for i := 0; i < 10; i++ {
-		at := Time(i * 10)
-		e.Schedule(at, "n", func(Time) {
-			n++
-			if n == 3 {
-				e.Halt()
-			}
-		})
-	}
-	e.Run()
-	if n != 3 {
-		t.Fatalf("n = %d", n)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d", e.Pending())
-	}
-}
-
-func TestSchedulePastPanics(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(10, "a", func(Time) {})
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic scheduling in the past")
-		}
-	}()
-	e.Schedule(5, "late", func(Time) {})
-}

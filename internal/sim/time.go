@@ -1,11 +1,10 @@
-// Package sim provides a small discrete-event simulation core used by the
-// SoC models: a picosecond-resolution virtual clock, an event queue, and a
-// scheduler that advances time by firing events in timestamp order.
+// Package sim provides the simulated-time units shared by the SoC models:
+// a picosecond-resolution virtual clock (Time), clock-cycle counts (Cycles),
+// and clock frequencies (Hertz) that convert between the two.
 //
 // The models in this repository are transaction-level, not cycle-accurate:
-// components compute the duration of each operation analytically and schedule
-// completion events. The engine only guarantees deterministic ordering (by
-// time, then by insertion sequence).
+// components compute the duration of each operation analytically, and the
+// core.Runner frame-step machine advances the clock frame by frame.
 package sim
 
 import "fmt"
@@ -34,7 +33,7 @@ const Forever Time = 1 << 62
 // and cross-dimension arithmetic fails to compile.
 type Nanoseconds float64
 
-// Time converts ns to the engine's picosecond clock.
+// Time converts ns to the picosecond clock.
 func (ns Nanoseconds) Time() Time { return FromNanoseconds(ns) }
 
 // Cycles is a clock-cycle count: the decoder's cost model and frequency
