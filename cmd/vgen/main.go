@@ -1,10 +1,9 @@
-// Command vgen synthesizes the Table 1 workload videos, inspects their
-// content-similarity statistics, and records/replays decode traces.
+// Command vgen synthesizes the Table 1 workload videos, decodes them into
+// traces and summarizes them, with their content-similarity statistics.
 //
 //	vgen -list                          # show the 16 profiles
 //	vgen -workload V7 -frames 60 -stats # content similarity of one workload
-//	vgen -workload V7 -out v7.trace     # record a binary decode trace
-//	vgen -in v7.trace -stats            # replay a recorded trace
+//	vgen -workload V7 -json             # trace summary as JSON
 //
 // Exit codes: 0 success, 1 synthesis/IO error, 2 invalid usage.
 package main
@@ -17,7 +16,6 @@ import (
 	"mach/internal/core"
 	"mach/internal/mach"
 	"mach/internal/stats"
-	"mach/internal/trace"
 	"mach/internal/video"
 )
 
@@ -30,8 +28,6 @@ func main() {
 		height   = flag.Int("height", 180, "frame height")
 		seed     = flag.Int64("seed", 1, "generator seed")
 		showStat = flag.Bool("stats", false, "print content-similarity statistics")
-		out      = flag.String("out", "", "write a binary decode trace to this path")
-		in       = flag.String("in", "", "load a binary decode trace instead of synthesizing")
 		jsonOut  = flag.Bool("json", false, "print the trace summary as JSON")
 	)
 	flag.Parse()
@@ -45,32 +41,19 @@ func main() {
 		return
 	}
 
-	if *in == "" {
-		const mabSize = 4
-		if *frames <= 0 {
-			usage("-frames %d: want a positive frame count", *frames)
-		}
-		if *width <= 0 || *height <= 0 || *width%mabSize != 0 || *height%mabSize != 0 {
-			usage("-width/-height %dx%d: want positive multiples of the %d-pixel mab size", *width, *height, mabSize)
-		}
-		if _, err := video.ProfileByKey(*workload); err != nil {
-			usage("-workload %s: unknown key (run `vgen -list` for the V1..V16 table)", *workload)
-		}
+	const mabSize = 4
+	if *frames <= 0 {
+		usage("-frames %d: want a positive frame count", *frames)
+	}
+	if *width <= 0 || *height <= 0 || *width%mabSize != 0 || *height%mabSize != 0 {
+		usage("-width/-height %dx%d: want positive multiples of the %d-pixel mab size", *width, *height, mabSize)
+	}
+	if _, err := video.ProfileByKey(*workload); err != nil {
+		usage("-workload %s: unknown key (run `vgen -list` for the V1..V16 table)", *workload)
 	}
 
-	var tr *trace.Trace
-	var err error
-	if *in != "" {
-		f, err2 := os.Open(*in)
-		if err2 != nil {
-			fatal(err2)
-		}
-		defer f.Close()
-		tr, err = trace.Load(f)
-	} else {
-		sc := video.StreamConfig{Width: *width, Height: *height, NumFrames: *frames, Seed: *seed, MabSize: 4, Quant: 8}
-		tr, err = core.BuildTrace(*workload, sc)
-	}
+	sc := video.StreamConfig{Width: *width, Height: *height, NumFrames: *frames, Seed: *seed, MabSize: mabSize, Quant: 8}
+	tr, err := core.BuildTrace(*workload, sc)
 	if err != nil {
 		fatal(err)
 	}
@@ -101,20 +84,6 @@ func main() {
 			fmt.Printf("%s: intra %.1f%%  inter %.1f%%  none %.1f%%  ideal savings %.1f%%\n",
 				mode, 100*an.IntraRate(), 100*an.InterRate(), 100*an.NoMatchRate(), 100*an.Savings())
 		}
-	}
-
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		if err := tr.Save(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *out)
 	}
 }
 

@@ -4,12 +4,10 @@
 package mach_test
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
 	"mach"
-	"mach/internal/trace"
 )
 
 // integrationTrace caches one reference-scale trace for the whole file.
@@ -105,32 +103,6 @@ func TestEnergyConservation(t *testing.T) {
 	}
 	if math.Abs(sum-res.TotalEnergy()) > 1e-9*sum {
 		t.Fatalf("components %.9g != total %.9g", sum, res.TotalEnergy())
-	}
-}
-
-// TestTraceRoundTripThroughPublicAPI: a trace saved and reloaded replays to
-// the identical result.
-func TestTraceRoundTripThroughPublicAPI(t *testing.T) {
-	tr := getTrace(t, "V4", 24)
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := trace.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := mach.DefaultConfig()
-	a, err := mach.Run(tr, mach.RaceToSleep(8), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := mach.Run(loaded, mach.RaceToSleep(8), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.TotalEnergy() != b.TotalEnergy() || a.Mem != b.Mem || a.Drops != b.Drops {
-		t.Fatal("reloaded trace must replay identically")
 	}
 }
 

@@ -146,8 +146,8 @@ func Save(path string, fp Fingerprint, payload []byte) (err error) {
 	tmp := f.Name()
 	defer func() {
 		if err != nil {
-			f.Close()
-			os.Remove(tmp)
+			_ = f.Close()      // best effort: err already reports why Save failed
+			_ = os.Remove(tmp) // best effort: a stray temp file is never read as a checkpoint
 		}
 	}()
 	if err = Encode(f, fp, payload); err != nil {

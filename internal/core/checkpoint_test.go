@@ -392,10 +392,10 @@ func TestRestoreRejectsSemanticCorruption(t *testing.T) {
 
 // FuzzCheckpointLoad feeds arbitrary bytes through the full untrusted-input
 // path — container decode, then structural restore, then (when accepted)
-// the rest of the run — and requires that nothing ever panics. Mirrors the
-// FuzzTraceLoad pattern: valid blobs seed the corpus so mutation explores
-// near-valid states, and the traffic generator is disabled so a mutated
-// clock cannot stretch one iteration into minutes.
+// the rest of the run — and requires that nothing ever panics. Valid blobs
+// seed the corpus so mutation explores near-valid states, and the traffic
+// generator is disabled so a mutated clock cannot stretch one iteration
+// into minutes.
 func FuzzCheckpointLoad(f *testing.F) {
 	cfg := testConfig()
 	cfg.Traffic.BytesPerSecond = 0

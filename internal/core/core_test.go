@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"mach/internal/energy"
@@ -94,6 +95,25 @@ func TestConfigValidate(t *testing.T) {
 	bad.DisplayLatencyFrames = 0
 	if bad.Validate() == nil {
 		t.Fatal("0 latency should fail")
+	}
+	// Every sub-config's rejection surfaces through Config.Validate.
+	for _, c := range []struct {
+		pkg string // the rejecting package's error prefix
+		mut func(*Config)
+	}{
+		{"decoder", func(c *Config) { c.Decoder.FreqLow = 0 }},
+		{"display", func(c *Config) { c.Display.FPS = 0 }},
+		{"dram", func(c *Config) { c.DRAM.Channels = 0 }},
+		{"power", func(c *Config) { c.Power.S3Power = -1 }},
+		{"mach", func(c *Config) { c.Mach.NumMACHs = -1 }},
+		{"soc", func(c *Config) { c.Traffic.BytesPerSecond = -1 }},
+		{"delivery", func(c *Config) { c.Delivery.Enabled, c.Delivery.BandwidthBps = true, 0 }},
+	} {
+		bad = DefaultConfig()
+		c.mut(&bad)
+		if err := bad.Validate(); err == nil || !strings.HasPrefix(err.Error(), c.pkg+":") {
+			t.Errorf("invalid %s config: Validate() = %v", c.pkg, err)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mach/internal/delivery"
-	"mach/internal/sim"
 )
 
 // flakyConfig returns the test platform with the hostile delivery profile
@@ -58,27 +57,35 @@ func TestZeroLengthBatchPattern(t *testing.T) {
 	}
 }
 
-// TestRebufferAtEndOfStream delays the final frames' arrival far past the
-// nominal end of playback: the wall clock must stretch to cover the late
-// decode (tail slack accounted, not silently dropped) and the rebuffer time
-// must reflect the wait.
+// TestRebufferAtEndOfStream starves the stream's tail through the delivery
+// model: one-frame segments over a link that needs about three times the
+// stream's duration, so the last frame arrives far past the nominal end of
+// playback. The wall clock must stretch to cover the late decode (tail slack
+// accounted, not silently dropped) and the rebuffer time must reflect the
+// wait.
 func TestRebufferAtEndOfStream(t *testing.T) {
 	tr := testTrace(t, "V1", 12)
 	n := len(tr.Frames)
-	late := sim.Time(n+30) * sim.Time(int64(sim.Second)/int64(tr.FPS))
-	arr := make([]sim.Time, n)
-	arr[n-1] = late // only the last frame straggles
-	if err := tr.SetArrivals(arr); err != nil {
+	sizes := make([]int, n)
+	total := 0
+	for i := range tr.Frames {
+		sizes[i] = tr.Frames[i].EncodedBytes
+		total += sizes[i]
+	}
+	cfg := testConfig()
+	cfg.Delivery = delivery.LTE()
+	cfg.Delivery.LossRate = 0
+	cfg.Delivery.Jitter = 0
+	cfg.Delivery.SegmentFrames = 1
+	duration := float64(n) / float64(tr.FPS)
+	cfg.Delivery.BandwidthBps = float64(total) / (3 * duration)
+	sched, err := delivery.Plan(cfg.Delivery, sizes, tr.FPS)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		// testTrace caches traces across tests; restore resident content.
-		if err := tr.SetArrivals(make([]sim.Time, n)); err != nil {
-			t.Fatal(err)
-		}
-	}()
+	late := sched.Avail[n-1]
 
-	res := mustRun(t, tr, RaceToSleep(4), testConfig())
+	res := mustRun(t, tr, RaceToSleep(4), cfg)
 	if res.Rebuffers == 0 || res.RebufferTime == 0 {
 		t.Fatalf("late tail caused no rebuffering: %+v", res.Rebuffers)
 	}
@@ -86,7 +93,7 @@ func TestRebufferAtEndOfStream(t *testing.T) {
 		t.Fatalf("wall time %v ends before the last frame arrived at %v", res.WallTime, late)
 	}
 	if res.Drops == 0 {
-		t.Fatal("a frame arriving 30 periods late should miss its deadline")
+		t.Fatal("a starved tail should miss its deadlines")
 	}
 }
 

@@ -1,38 +1,37 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"reflect"
 	"testing"
 
+	"mach/internal/trace"
 	"mach/internal/video"
 )
 
 // These tests lock in at runtime what the machlint determinism analyzer
 // enforces statically (see internal/lint): the same seeded workload must
-// produce bit-identical traces and measurements on every run. If either
-// test fails, every table and figure the repo reproduces stops being
+// produce deep-equal traces and bit-identical measurements on every run. If
+// either test fails, every table and figure the repo reproduces stops being
 // comparable across machines and PRs.
 
 // TestTraceBuildDeterministic synthesizes the same seeded workload twice
-// and requires the serialized traces to be byte-identical.
+// and requires the two traces to be deep-equal: pixels, work records and
+// frame metadata.
 func TestTraceBuildDeterministic(t *testing.T) {
 	sc := video.StreamConfig{Width: 160, Height: 96, NumFrames: 24, Seed: 11, MabSize: 4, Quant: 8}
 	key := WorkloadKeys()[0]
 
-	var bufs [2]bytes.Buffer
-	for i := range bufs {
+	var trs [2]*trace.Trace
+	for i := range trs {
 		tr, err := BuildTrace(key, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.Save(&bufs[i]); err != nil {
-			t.Fatal(err)
-		}
+		trs[i] = tr
 	}
-	if !bytes.Equal(bufs[0].Bytes(), bufs[1].Bytes()) {
-		t.Fatalf("same seed produced different trace bytes (%d vs %d bytes)", bufs[0].Len(), bufs[1].Len())
+	if !reflect.DeepEqual(trs[0], trs[1]) {
+		t.Fatal("same seed produced different traces")
 	}
 }
 

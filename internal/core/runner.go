@@ -195,8 +195,7 @@ func NewRunner(tr *trace.Trace, s Scheme, cfg Config) (*Runner, error) {
 	// avail[i] is the virtual time frame i's encoded bytes are in the
 	// streaming buffer; nil means everything is resident before playback
 	// (the original perfect-network pipeline, bit-for-bit). Availability
-	// comes from the seeded network model when enabled, merged with any
-	// arrival metadata recorded in the trace itself.
+	// comes from the seeded network model when enabled.
 	if cfg.Delivery.Enabled {
 		sizes := make([]int, len(tr.Frames))
 		for i := range tr.Frames {
@@ -220,16 +219,6 @@ func NewRunner(tr *trace.Trace, s Scheme, cfg Config) (*Runner, error) {
 			}
 		}
 		r.avail = r.sched.Avail
-	}
-	if tr.HasArrivals() {
-		if r.avail == nil {
-			r.avail = make([]sim.Time, len(tr.Frames))
-		}
-		for i := range tr.Frames {
-			if a := tr.Frames[i].Arrival; a > r.avail[i] {
-				r.avail[i] = a
-			}
-		}
 	}
 	// startup shifts the whole playback timeline: with delivery enabled the
 	// player holds the first scan-out until the first segment is buffered,

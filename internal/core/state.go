@@ -94,7 +94,6 @@ type frameSig struct {
 	Type         codec.FrameType
 	EncodedBytes int
 	TotalBits    int64
-	Arrival      sim.Time
 }
 
 // Fingerprint identifies the (trace, scheme, config) triple this Runner
@@ -109,7 +108,6 @@ func (r *Runner) Fingerprint() checkpoint.Fingerprint {
 			Type:         f.Type,
 			EncodedBytes: f.EncodedBytes,
 			TotalBits:    f.Work.TotalBits,
-			Arrival:      f.Arrival,
 		}
 	}
 	id := struct {

@@ -421,3 +421,68 @@ func TestPlanContention(t *testing.T) {
 		t.Fatal("different contention seeds produced identical schedules")
 	}
 }
+
+// FairShare computes the weighted max-min fair allocation of capacity among
+// sessions with the given demands and weights: water-filling, where every
+// unsatisfied session's allocation grows in proportion to its weight until
+// its demand is met or the capacity is exhausted. The result is a pure
+// function of the (demand, weight) multiset — permuting sessions permutes
+// the output identically — and satisfies conservation (sum ≤ capacity) and
+// work conservation (sum == min(capacity, total demand)).
+//
+// Demands and weights must be the same length; weights must be positive and
+// demands non-negative, or FairShare panics (it is a model invariant, not
+// an input-validation surface).
+func FairShare(capacity float64, demands, weights []float64) []float64 {
+	if len(demands) != len(weights) {
+		panic("delivery: FairShare demand/weight length mismatch")
+	}
+	alloc := make([]float64, len(demands))
+	if capacity <= 0 || len(demands) == 0 {
+		return alloc
+	}
+	unsat := make([]int, 0, len(demands))
+	for i, d := range demands {
+		if d < 0 || math.IsNaN(d) || weights[i] <= 0 || math.IsNaN(weights[i]) {
+			panic("delivery: FairShare negative demand or non-positive weight")
+		}
+		if d > 0 {
+			unsat = append(unsat, i)
+		}
+	}
+	remaining := capacity
+	for len(unsat) > 0 && remaining > 0 {
+		var sumW float64
+		for _, i := range unsat {
+			sumW += weights[i]
+		}
+		// The water level this round: the per-weight rate at which every
+		// unsatisfied session fills.
+		rate := remaining / sumW
+		// Freeze every session whose remaining demand is met at this level.
+		frozen := false
+		for _, i := range unsat {
+			if demands[i]-alloc[i] <= rate*weights[i] {
+				frozen = true
+			}
+		}
+		if !frozen {
+			// Nobody saturates: hand out the rest proportionally and stop.
+			for _, i := range unsat {
+				alloc[i] += rate * weights[i]
+			}
+			return alloc
+		}
+		next := unsat[:0]
+		for _, i := range unsat {
+			if need := demands[i] - alloc[i]; need <= rate*weights[i] {
+				alloc[i] = demands[i]
+				remaining -= need
+			} else {
+				next = append(next, i)
+			}
+		}
+		unsat = next
+	}
+	return alloc
+}

@@ -6,24 +6,18 @@ import (
 	"strings"
 )
 
-// ErrCheck is a narrow errcheck: in the I/O layers (internal/trace,
-// internal/record and the cmd/ tools) a call into io, os, bufio or
-// encoding/* whose error result is dropped on the floor means a truncated
-// trace file or a silently-corrupt report. Only expression statements are
-// flagged — assigning any result (including to _) is an explicit,
-// greppable acknowledgement, and `defer f.Close()` on read paths is the
-// accepted idiom so defer/go statements are exempt.
+// ErrCheck is a narrow errcheck: a call into io, os, bufio, encoding/* or
+// compress/* whose error result is dropped on the floor means a truncated
+// checkpoint or manifest, or a silently-corrupt report. The callee filter
+// alone scopes the check, so it runs module-wide. Only expression
+// statements are flagged — assigning any result (including to _) is an
+// explicit, greppable acknowledgement, and `defer f.Close()` on read paths
+// is the accepted idiom so defer/go statements are exempt.
 var ErrCheck = &Analyzer{
 	Name: "errcheck",
-	Doc: "flag statement-level calls into io/os/bufio/encoding that discard " +
-		"an error result, in internal/trace, internal/record and cmd/",
+	Doc: "flag statement-level calls into io/os/bufio/encoding/compress that discard " +
+		"an error result",
 	Run: runErrCheck,
-}
-
-var errcheckScope = []string{
-	"mach/internal/trace",
-	"mach/internal/record",
-	"mach/cmd",
 }
 
 // errcheckPackages are the callee packages whose dropped errors are
@@ -37,9 +31,6 @@ func errcheckPackage(path string) bool {
 }
 
 func runErrCheck(pass *Pass) {
-	if !inScope(pass.Path, errcheckScope) {
-		return
-	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			stmt, ok := n.(*ast.ExprStmt)

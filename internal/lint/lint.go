@@ -378,7 +378,6 @@ func staleDirectives(directives []*ignoreDirective, analyzers []*Analyzer) []Dia
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
-		UnitSafety,
 		UnitFlow,
 		LedgerCheck,
 		StateCheck,

@@ -10,23 +10,30 @@ import (
 // TestGolden runs every analyzer over its testdata corpus: files seeded
 // with violations (`// want` assertions), files whose violations carry
 // lint:ignore directives (zero surviving diagnostics), and clean files.
+// The unitsafety corpus holds the unit-suffix name cases of the analyzer
+// unitflow absorbed; it keeps its own directory and runs through unitflow.
 func TestGolden(t *testing.T) {
 	for _, a := range All() {
-		t.Run(a.Name, func(t *testing.T) {
-			files, err := GoldenFiles(".", a.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, file := range files {
-				problems, err := RunGoldenFile(a, file)
-				if err != nil {
-					t.Fatalf("%s: %v", file, err)
-				}
-				for _, p := range problems {
-					t.Errorf("%s", p)
-				}
-			}
-		})
+		t.Run(a.Name, func(t *testing.T) { runGolden(t, a, a.Name) })
+	}
+	t.Run("unitsafety", func(t *testing.T) { runGolden(t, UnitFlow, "unitsafety") })
+}
+
+// runGolden checks every file of testdata/<corpus>/ against analyzer a.
+func runGolden(t *testing.T, a *Analyzer, corpus string) {
+	t.Helper()
+	files, err := GoldenFiles(".", corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range files {
+		problems, err := RunGoldenFile(a, file)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		for _, p := range problems {
+			t.Errorf("%s", p)
+		}
 	}
 }
 
@@ -279,25 +286,23 @@ func TestByName(t *testing.T) {
 
 func TestUnitOfBoundaries(t *testing.T) {
 	cases := []struct {
-		name   string
-		suffix string
-		ok     bool
+		name string
+		dim  string
 	}{
-		{"energyPJ", "PJ", true},
-		{"busyPs", "Ps", true},
-		{"Ps", "Ps", true},
-		{"t1Ns", "Ns", true},
-		{"ComputeCycles", "Cycles", true},
-		{"freqMHz", "MHz", true},
-		{"Caps", "", false}, // lowercase "ps" is not the Ps unit
-		{"ANs", "", false},  // no camelCase boundary before the suffix
-		{"frames", "", false},
-		{"staticMW", "MW", true},
+		{"energyPJ", "energy (pJ)"},
+		{"busyPs", "time (ps)"},
+		{"Ps", "time (ps)"},
+		{"t1Ns", "time (ns)"},
+		{"ComputeCycles", "cycle count"},
+		{"freqMHz", "frequency (MHz)"},
+		{"Caps", ""}, // lowercase "ps" is not the Ps unit
+		{"ANs", ""},  // no camelCase boundary before the suffix
+		{"frames", ""},
+		{"staticMW", "power (mW)"},
 	}
 	for _, c := range cases {
-		suffix, _, ok := unitOf(c.name)
-		if ok != c.ok || suffix != c.suffix {
-			t.Errorf("unitOf(%q) = %q,%v; want %q,%v", c.name, suffix, ok, c.suffix, c.ok)
+		if got := suffixDim(c.name); got != c.dim {
+			t.Errorf("suffixDim(%q) = %q; want %q", c.name, got, c.dim)
 		}
 	}
 }

@@ -1,6 +1,4 @@
 // Seeded dropped-error bugs in the I/O layer.
-//
-//machlint:pkgpath mach/internal/trace
 package trace
 
 import (

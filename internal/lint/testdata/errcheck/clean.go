@@ -1,6 +1,4 @@
 // Error-handling idioms the checker must not flag.
-//
-//machlint:pkgpath mach/internal/trace
 package trace
 
 import (

@@ -1,6 +1,4 @@
 // Suppressed dropped errors; zero diagnostics must survive.
-//
-//machlint:pkgpath mach/internal/trace
 package trace
 
 import "bufio"

@@ -11,7 +11,7 @@ func Clean(busyPs, idlePs, busyNs, totalCycles int64, freqMHz float64) int64 {
 	_ = perCycle
 	hz := freqMHz * 1e6 // scalar literal scaling
 	_ = hz
-	sum := nsFromPs(busyPs) + busyNs // explicit conversion call on the left
+	sum := nsFromPs(busyPs) + busyNs // a From helper's name carries its input's unit, not its result's
 	_ = sum
 	var Caps int64 // "Caps" must not parse as ending in unit "Ps"
 	Caps = Caps + busyNs

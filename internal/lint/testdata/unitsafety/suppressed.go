@@ -2,6 +2,6 @@
 package units
 
 func Pack(headerPs, payloadNs int64) int64 {
-	//lint:ignore unitsafety fixture: deliberately packing mixed fields into one word
+	//lint:ignore unitflow fixture: deliberately packing mixed fields into one word
 	return headerPs + payloadNs
 }

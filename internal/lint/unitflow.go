@@ -4,9 +4,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
-// UnitFlow is the flow-sensitive successor of UnitSafety. The model
+// UnitFlow is the repository's flow-sensitive unit checker. The model
 // packages now declare named unit types (energy.Joules/Picojoules,
 // power.Watts/Milliwatts, sim.Time/Nanoseconds/Cycles/Hertz, dram.Bytes,
 // soc.MHz/BytesPerSecond); the compiler already rejects additive mixing of
@@ -24,8 +25,8 @@ import (
 //   - struct fields and function results, via their declared unit types;
 //   - call boundaries, via the callee's result type, falling back to the
 //     unit suffix of the callee's name;
-//   - the UnitSafety suffix heuristic (energyPJ, busPs, …) for untyped
-//     locals, kept as the fallback for values no type ever touched.
+//   - a name-suffix heuristic (energyPJ, busPs, …) for untyped locals,
+//     kept as the fallback for values no type ever touched.
 //
 // Multiplication and division legitimately change dimension (power*time,
 // cycles/frequency) and yield an unknown dimension; conversions to a unit
@@ -61,16 +62,25 @@ var unitDimTable = map[string]string{
 	"BytesPerSecond": "bandwidth (B/s)",
 }
 
-// suffixDims aligns the UnitSafety name-suffix heuristic with the typed
-// table so a typed operand can conflict with a suffix-named one.
-var suffixDims = map[string]string{
-	"PJ":     "energy (pJ)",
-	"NJ":     "energy (nJ)",
-	"MW":     "power (mW)",
-	"Ps":     "time (ps)",
-	"Ns":     "time (ns)",
-	"Cycles": "cycle count",
-	"MHz":    "frequency (MHz)",
+// unitSuffixes maps a recognized identifier suffix to its dimension, in
+// the vocabulary of unitDimTable so a typed operand can conflict with a
+// suffix-named one.
+var unitSuffixes = []struct{ suffix, dim string }{
+	{"Cycles", "cycle count"},
+	{"MHz", "frequency (MHz)"},
+	{"PJ", "energy (pJ)"},
+	{"NJ", "energy (nJ)"},
+	{"MW", "power (mW)"},
+	{"Ps", "time (ps)"},
+	{"Ns", "time (ns)"},
+}
+
+// additiveOps are the operators where mixed dimensions are always a bug.
+var additiveOps = map[token.Token]bool{
+	token.ADD: true, token.SUB: true,
+	token.EQL: true, token.NEQ: true,
+	token.LSS: true, token.LEQ: true,
+	token.GTR: true, token.GEQ: true,
 }
 
 // typeDim returns the dimension a type carries, or "".
@@ -85,10 +95,22 @@ func typeDim(t types.Type) string {
 	return unitDimTable[named.Obj().Name()]
 }
 
-// suffixDim returns the dimension a bare name suggests, or "".
+// suffixDim returns the dimension a bare name's unit suffix suggests, or
+// "". The suffix must start at a camelCase boundary (the byte before it is
+// a lowercase letter or digit, or the name is the suffix itself), so e.g.
+// "Caps" is not read as ending in "Ps".
 func suffixDim(name string) string {
-	if s, _, ok := unitOf(name); ok {
-		return suffixDims[s]
+	for _, u := range unitSuffixes {
+		rest, ok := strings.CutSuffix(name, u.suffix)
+		if !ok {
+			continue
+		}
+		if rest == "" {
+			return u.dim
+		}
+		if last := rest[len(rest)-1]; last >= 'a' && last <= 'z' || last >= '0' && last <= '9' {
+			return u.dim
+		}
 	}
 	return ""
 }
@@ -261,12 +283,18 @@ func (u *unitflowRun) dimOf(env factEnv, e ast.Expr) string {
 			return d
 		}
 		// Fall back to the unit suffix of the callee name
-		// (func totalPJ() float64 { … }).
+		// (func totalPJ() float64 { … }). A conversion helper (nsFromPs)
+		// is named after its input's unit, not its result's, so a name
+		// containing "From" suggests no dimension.
+		var name string
 		switch fun := ast.Unparen(e.Fun).(type) {
 		case *ast.Ident:
-			return suffixDim(fun.Name)
+			name = fun.Name
 		case *ast.SelectorExpr:
-			return suffixDim(fun.Sel.Name)
+			name = fun.Sel.Name
+		}
+		if !strings.Contains(name, "From") {
+			return suffixDim(name)
 		}
 	case *ast.BinaryExpr:
 		switch e.Op {

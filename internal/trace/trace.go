@@ -1,16 +1,15 @@
-// Package trace builds and serializes decode traces: the per-frame decoded
-// pixels plus the per-mab work records the timing models replay. This mirrors
-// the paper's methodology (FFmpeg + pintool traces replayed through the
-// GemDroid platform): the functional decode happens once per workload, and
-// each scheme under test replays the same trace through the timing and
-// energy models, so scheme comparisons are content-identical by construction.
+// Package trace builds decode traces: the per-frame decoded pixels plus the
+// per-mab work records the timing models replay. This mirrors the paper's
+// methodology (FFmpeg + pintool traces replayed through the GemDroid
+// platform): the functional decode happens once per workload, and each
+// scheme under test replays the same trace through the timing and energy
+// models, so scheme comparisons are content-identical by construction.
 package trace
 
 import (
 	"fmt"
 
 	"mach/internal/codec"
-	"mach/internal/sim"
 )
 
 // Frame is one decode-order entry of a trace.
@@ -20,14 +19,6 @@ type Frame struct {
 	EncodedBytes int
 	Decoded      *codec.Frame
 	Work         *codec.FrameWork
-
-	// Arrival is the virtual time this frame's encoded bytes became
-	// available to the decoder (per-frame delivery metadata). Zero means
-	// resident before playback — the perfect-network assumption every
-	// trace had before the delivery model existed. Populated either by
-	// replaying a delivery schedule into the trace (SetArrivals) or from a
-	// recorded trace file (format v2).
-	Arrival sim.Time
 }
 
 // Trace is a fully decoded workload.
@@ -63,32 +54,6 @@ func Build(profileKey string, fps int, params codec.Params, encoded []*codec.Enc
 
 // NumFrames returns the frame count.
 func (t *Trace) NumFrames() int { return len(t.Frames) }
-
-// HasArrivals reports whether any frame carries delivery arrival metadata.
-func (t *Trace) HasArrivals() bool {
-	for i := range t.Frames {
-		if t.Frames[i].Arrival > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// SetArrivals attaches per-frame (decode-order) arrival times, e.g. from a
-// planned delivery schedule, so the fault pattern can be recorded with the
-// trace and replayed without the network model.
-func (t *Trace) SetArrivals(avail []sim.Time) error {
-	if len(avail) != len(t.Frames) {
-		return fmt.Errorf("trace: %d arrival times for %d frames", len(avail), len(t.Frames))
-	}
-	for i, a := range avail {
-		if a < 0 {
-			return fmt.Errorf("trace: negative arrival %v for frame %d", a, i)
-		}
-		t.Frames[i].Arrival = a
-	}
-	return nil
-}
 
 // FramePeriod returns the display interval implied by FPS, in seconds.
 func (t *Trace) FramePeriod() float64 {

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -59,63 +58,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	tr.Frames[0].Decoded = nil
 	if tr.Validate() == nil {
 		t.Fatal("missing pixels should fail validation")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	tr := buildTestTrace(t, "V5", 6) // includes B frames
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got.Profile != tr.Profile || got.FPS != tr.FPS || got.NumFrames() != tr.NumFrames() {
-		t.Fatalf("header mismatch: %+v", got.Summarize())
-	}
-	for i := range tr.Frames {
-		a, b := &tr.Frames[i], &got.Frames[i]
-		if a.Type != b.Type || a.DisplayIndex != b.DisplayIndex || a.EncodedBytes != b.EncodedBytes {
-			t.Fatalf("frame %d header mismatch", i)
-		}
-		if !bytes.Equal(a.Decoded.Pix, b.Decoded.Pix) {
-			t.Fatalf("frame %d pixels differ", i)
-		}
-		if len(a.Work.Mabs) != len(b.Work.Mabs) {
-			t.Fatalf("frame %d work length", i)
-		}
-		for j := range a.Work.Mabs {
-			if a.Work.Mabs[j] != b.Work.Mabs[j] {
-				t.Fatalf("frame %d mab %d: %+v vs %+v", i, j, a.Work.Mabs[j], b.Work.Mabs[j])
-			}
-		}
-		if a.Work.CountI != b.Work.CountI || a.Work.CountP != b.Work.CountP || a.Work.CountB != b.Work.CountB {
-			t.Fatalf("frame %d counts differ", i)
-		}
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("NOPE trailing"))); err == nil {
-		t.Fatal("bad magic should fail")
-	}
-	if _, err := Load(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty input should fail")
-	}
-	// Truncated valid stream.
-	tr := buildTestTrace(t, "V1", 3)
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	if _, err := Load(bytes.NewReader(raw[:len(raw)/2])); err == nil {
-		t.Fatal("truncated stream should fail")
 	}
 }
 

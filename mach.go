@@ -107,29 +107,16 @@ var (
 	WorkloadKeys = core.WorkloadKeys
 	// BuildTrace synthesizes a workload and decodes it into a trace.
 	BuildTrace = core.BuildTrace
-	// Synthesize generates and encodes a workload stream.
-	Synthesize = video.Synthesize
 
-	// Network profiles for Config.Delivery (all Enabled; DefaultDelivery
-	// is the same LTE link but disabled, the perfect-network default).
-	DefaultDelivery = delivery.DefaultConfig
-	DeliveryLTE     = delivery.LTE
-	DeliveryWiFi    = delivery.WiFi
-	Delivery3G      = delivery.ThreeG
-	DeliveryFlaky   = delivery.Flaky
-	DeliveryByName  = delivery.ProfileByName
-	PlanDelivery    = delivery.Plan
-	// PlanDeliveryABR is PlanDelivery with the adaptive-bitrate controller
-	// choosing a ladder rung per segment.
-	PlanDeliveryABR = delivery.PlanABR
+	// DeliveryByName maps a network profile name (lte, wifi, 3g, flaky)
+	// to an enabled Config.Delivery.
+	DeliveryByName = delivery.ProfileByName
 
-	// Adaptive-bitrate ladder helpers: the default five-rung mobile DASH
-	// ladder, the MACHLADDER manifest parser, and its file loader (both
-	// wrap ErrBadManifest on damaged input).
-	DefaultLadder = abr.DefaultLadder
-	ParseLadder   = abr.ParseLadder
-	LoadLadder    = abr.LoadLadder
-	ABRPolicies   = abr.PolicyByName
+	// LoadLadder reads a MACHLADDER bitrate-ladder manifest (wrapping
+	// ErrBadManifest on damaged input); ABRPolicies resolves a
+	// rung-selection policy by name.
+	LoadLadder  = abr.LoadLadder
+	ABRPolicies = abr.PolicyByName
 
 	// Run replays a trace under a scheme.
 	Run = core.Run
@@ -146,13 +133,11 @@ var (
 	// SchemeByName resolves a CLI key ("gab", "rts", ...) to a scheme.
 	SchemeByName     = core.SchemeByName
 	AdaptiveBatching = core.AdaptiveBatching
-	SlackPredictive  = core.SlackPredictive
 	Baseline         = core.Baseline
 	Batching         = core.Batching
 	Racing           = core.Racing
 	RaceToSleep      = core.RaceToSleep
 	MAB              = core.MAB
 	GAB              = core.GAB
-	GABNoDisplayOpt  = core.GABNoDisplayOpt
 	StandardSchemes  = core.StandardSchemes
 )
