@@ -3,11 +3,15 @@
 // (against the paper's Region I-IV targets: 4% drops / 12% short slack /
 // 37% S1 / 40%+ S3), the sleep-state break-evens, the energy split, and the
 // content-match rates (against 42% intra / 15% inter / 43% none).
+//
+// Exit codes: 0 success, 1 a trace build or simulation run failed, 2
+// invalid flag values.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"mach"
 	"mach/internal/energy"
@@ -24,24 +28,38 @@ func main() {
 	)
 	flag.Parse()
 
+	keys := mach.WorkloadKeys()
+	sc := mach.DefaultStreamConfig()
+	switch {
+	case *frames <= 0:
+		usage("-frames %d: want a positive frame count", *frames)
+	case *nvids < 1 || *nvids > len(keys):
+		usage("-videos %d: want a workload count in [1,%d]", *nvids, len(keys))
+	case sc.MabSize > 0 && (*width <= 0 || *height <= 0 || *width%sc.MabSize != 0 || *height%sc.MabSize != 0):
+		usage("-width/-height %dx%d: want positive multiples of the %d-pixel mab size", *width, *height, sc.MabSize)
+	}
+	sc.Width, sc.Height, sc.NumFrames = *width, *height, *frames
+	keys = keys[:*nvids]
+
 	cfg := mach.DefaultConfig()
 	pcfg := power.DefaultConfig()
 	fmt.Printf("break-even: S1 %v  S3 %v (period 16.667ms)\n\n",
 		pcfg.BreakEven(power.S1), pcfg.BreakEven(power.S3))
 
 	var all []float64
-	keys := mach.WorkloadKeys()[:*nvids]
 	for _, key := range keys {
-		sc := mach.DefaultStreamConfig()
-		sc.Width, sc.Height, sc.NumFrames = *width, *height, *frames
 		tr, err := mach.BuildTrace(key, sc)
 		if err != nil {
-			panic(err)
+			fatal(err)
 		}
-		res, err := mach.Run(tr, mach.Baseline(), cfg)
-		if err != nil {
-			panic(err)
+		run := func(s mach.Scheme) *mach.Result {
+			res, err := mach.Run(tr, s, cfg)
+			if err != nil {
+				fatal(err)
+			}
+			return res
 		}
+		res := run(mach.Baseline())
 		rc := res.Regions(sim.FromSeconds(1.0/60), pcfg)
 		n := float64(res.Frames)
 		fmt.Printf("%-4s drops=%2d  regions I/II/III/IV = %4.1f%% %4.1f%% %4.1f%% %4.1f%%  ",
@@ -59,11 +77,8 @@ func main() {
 				}
 			}
 			fmt.Println()
-			g, err := mach.Run(tr, mach.GAB(8), cfg)
-			if err != nil {
-				panic(err)
-			}
-			m, _ := mach.Run(tr, mach.MAB(8), cfg)
+			g := run(mach.GAB(8))
+			m := run(mach.MAB(8))
 			fmt.Printf("     %s matches: gab intra %.1f%% inter %.1f%% none %.1f%% | mab intra %.1f%% inter %.1f%%\n",
 				key,
 				pct(g.Mach.IntraMatches, g.Mach.Mabs), pct(g.Mach.InterMatches, g.Mach.Mabs), pct(g.Mach.NoMatches, g.Mach.Mabs),
@@ -75,15 +90,15 @@ func main() {
 				100*(1-float64(g.Disp.MemLineReads)/float64(res.Disp.MemLineReads)))
 			fmt.Printf("     dram base: hits=%d conflict=%d closed=%d timeoutPre=%d reads=%d writes=%d refHit=%.2f\n",
 				res.Mem.RowHits, res.Mem.RowMisses, res.Mem.RowClosed, res.Mem.TimeoutPre, res.Mem.Reads, res.Mem.Writes, res.Dec.RefHitRate())
-			r2, _ := mach.Run(tr, mach.Racing(), cfg)
+			r2 := run(mach.Racing())
 			fmt.Printf("     Fig5: activates base=%d racing=%d (%.1f%% fewer)  actpre energy %.2f->%.2f mJ\n",
 				res.Mem.Activates, r2.Mem.Activates,
 				100*(1-float64(r2.Mem.Activates)/float64(res.Mem.Activates)),
 				1e3*res.MemEnergy.ActPre, 1e3*r2.MemEnergy.ActPre)
-			s2, _ := mach.Run(tr, mach.RaceToSleep(8), cfg)
+			s2 := run(mach.RaceToSleep(8))
 			fmt.Printf("     race-to-sleep: S3 %.1f%% (baseline %.1f%%)  norm energy B=%.3f R=%.3f S=%.3f\n",
 				100*s2.S3Residency(), 100*res.S3Residency(),
-				mustNorm(tr, cfg, mach.Batching(8), res), r2.TotalEnergy()/res.TotalEnergy(), s2.TotalEnergy()/res.TotalEnergy())
+				run(mach.Batching(8)).TotalEnergy()/res.TotalEnergy(), r2.TotalEnergy()/res.TotalEnergy(), s2.TotalEnergy()/res.TotalEnergy())
 		}
 	}
 
@@ -110,12 +125,15 @@ func main() {
 		100*float64(r1)/n, 100*float64(r2)/n, 100*float64(r3)/n, 100*float64(r4)/n)
 }
 
-func mustNorm(tr *mach.Trace, cfg mach.Config, s mach.Scheme, base *mach.Result) float64 {
-	r, err := mach.Run(tr, s, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r.TotalEnergy() / base.TotalEnergy()
+// usage reports an invalid flag value and exits with the usage code.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "calibrate: "+format+"\n", args...)
+	os.Exit(2)
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "calibrate:", err)
+	os.Exit(1)
 }
 
 func pct(x, n int64) float64 {

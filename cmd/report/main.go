@@ -12,6 +12,9 @@
 // as soon as it finishes; rerunning after an interruption loads the finished
 // cells from the cache and only computes what is missing. A damaged or
 // mismatched cell is re-run fresh, never trusted.
+//
+// Exit codes: 0 success, 1 one or more experiments failed, 2 invalid flag
+// values or an unknown experiment.
 package main
 
 import (
@@ -50,13 +53,18 @@ func main() {
 	if *quick {
 		cfg = experiments.Quick()
 	}
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "report: -workers %d: want >= 0\n", *workers)
-		os.Exit(2)
-	}
-	if *parallel < 0 || *parallel > 256 {
-		fmt.Fprintf(os.Stderr, "report: -parallel %d: want a worker count in [0,256]\n", *parallel)
-		os.Exit(2)
+	mab := cfg.Stream.MabSize
+	switch {
+	case *workers < 0:
+		usage("-workers %d: want >= 0", *workers)
+	case *parallel < 0 || *parallel > 256:
+		usage("-parallel %d: want a worker count in [0,256]", *parallel)
+	case *frames < 0:
+		usage("-frames %d: want a positive frame count (0 keeps the default)", *frames)
+	case *nvids < 0 || *nvids > len(cfg.Videos):
+		usage("-videos %d: want a workload count in [1,%d] (0 keeps all)", *nvids, len(cfg.Videos))
+	case mab > 0 && (*width < 0 || *height < 0 || *width%mab != 0 || *height%mab != 0):
+		usage("-width/-height %dx%d: want positive multiples of the %d-pixel mab size (0 keeps the default)", *width, *height, mab)
 	}
 	cfg.Workers = *workers
 	cfg.Platform.Parallel = *parallel
@@ -69,7 +77,7 @@ func main() {
 	if *height > 0 {
 		cfg.Stream.Height = *height
 	}
-	if *nvids > 0 && *nvids <= len(cfg.Videos) {
+	if *nvids > 0 {
 		cfg.Videos = cfg.Videos[:*nvids]
 	}
 	r := experiments.NewRunner(cfg)
@@ -175,6 +183,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "report: unknown experiment %q; available: %s\n", *exp, strings.Join(names, ", "))
 		os.Exit(2)
 	}
+}
+
+// usage reports an invalid flag value and exits with the usage code.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "report: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // runExperiment isolates one experiment: a panic in its model code is

@@ -330,10 +330,7 @@ func TestRestoreRejectsSemanticCorruption(t *testing.T) {
 	mutate("traffic-after-now", func(m map[string]json.RawMessage) { set(m, "TrafficFrom", "9000000000000000") })
 	mutate("release-count", func(m map[string]json.RawMessage) { set(m, "Releases", "[1,2]") })
 	mutate("sample-count", func(m map[string]json.RawMessage) { set(m, "FrameTimes", "[0.5]") })
-	mutate("drop-samples", func(m map[string]json.RawMessage) {
-		delete(m, "FrameTimes")
-		delete(m, "FrameEnergies")
-	})
+	mutate("drop-samples", func(m map[string]json.RawMessage) { delete(m, "FrameTimes") })
 	mutate("negative-drops", func(m map[string]json.RawMessage) { set(m, "Drops", "-1") })
 	mutate("bad-max-displayed", func(m map[string]json.RawMessage) { set(m, "MaxDisplayed", "-2") })
 	mutate("garbage", func(m map[string]json.RawMessage) { set(m, "Pool", `"zzz"`) })

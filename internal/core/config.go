@@ -54,8 +54,9 @@ type Config struct {
 	// pool beyond it, which Fig 12a measures.
 	BaseBuffers int
 
-	// CollectFrameSamples records per-frame decode time and energy samples
-	// for CDF plots; disable for large sweeps to save memory.
+	// CollectFrameSamples records per-frame decode time samples for the
+	// Region I-IV split and CDF plots; disable for large sweeps to save
+	// memory.
 	CollectFrameSamples bool
 
 	// Parallel is the worker count of the deterministic parallel engine:

@@ -41,8 +41,6 @@ type Result struct {
 	// Per-frame decode times in seconds (Region analysis, Fig 2 CDFs);
 	// populated when Config.CollectFrameSamples is set.
 	FrameTimes *stats.Sample
-	// Per-frame decoder energy in joules (busy portion only).
-	FrameEnergies *stats.Sample
 
 	// PoolHighWater is the peak number of simultaneously live frame
 	// buffers (Fig 12a measures it against triple buffering).

@@ -279,7 +279,6 @@ func NewRunner(tr *trace.Trace, s Scheme, cfg Config) (*Runner, error) {
 	}
 	if cfg.CollectFrameSamples {
 		r.res.FrameTimes = stats.NewSample(len(tr.Frames))
-		r.res.FrameEnergies = stats.NewSample(len(tr.Frames))
 	}
 	return r, nil
 }
@@ -470,7 +469,6 @@ func (r *Runner) StepFrame() {
 
 	if r.res.FrameTimes != nil {
 		r.res.FrameTimes.Add(fres.BusyTime.Seconds())
-		r.res.FrameEnergies.Add(float64(fres.ActiveEnergy))
 	}
 
 	// Display handover.

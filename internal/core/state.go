@@ -69,12 +69,11 @@ type simState struct {
 	Layouts []framebuf.FrameLayout
 
 	// Partial Result counters accumulated by the loop so far.
-	Drops         int64
-	Rebuffers     int64
-	RebufferTime  sim.Time
-	BatchShrinks  int64
-	FrameTimes    []float64 `json:",omitempty"`
-	FrameEnergies []float64 `json:",omitempty"`
+	Drops        int64
+	Rebuffers    int64
+	RebufferTime sim.Time
+	BatchShrinks int64
+	FrameTimes   []float64 `json:",omitempty"`
 
 	Mem     dram.State
 	Decoder decoder.State
@@ -182,7 +181,6 @@ func (r *Runner) Snapshot() ([]byte, error) {
 	}
 	if r.res.FrameTimes != nil {
 		st.FrameTimes = r.res.FrameTimes.Values()
-		st.FrameEnergies = r.res.FrameEnergies.Values()
 	}
 	return json.Marshal(st)
 }
@@ -265,11 +263,10 @@ func (r *Runner) Restore(payload []byte) error {
 		}
 	}
 	if r.cfg.CollectFrameSamples {
-		if len(st.FrameTimes) != st.Frame || len(st.FrameEnergies) != st.Frame {
-			return fmt.Errorf("core: %d/%d frame samples for %d decoded frames",
-				len(st.FrameTimes), len(st.FrameEnergies), st.Frame)
+		if len(st.FrameTimes) != st.Frame {
+			return fmt.Errorf("core: %d frame samples for %d decoded frames", len(st.FrameTimes), st.Frame)
 		}
-	} else if st.FrameTimes != nil || st.FrameEnergies != nil {
+	} else if st.FrameTimes != nil {
 		return fmt.Errorf("core: checkpoint carries frame samples, config does not collect them")
 	}
 	if len(st.Layouts) > nFrames {
@@ -360,7 +357,6 @@ func (r *Runner) Restore(payload []byte) error {
 	r.res.BatchShrinks = st.BatchShrinks
 	if r.cfg.CollectFrameSamples {
 		r.res.FrameTimes = stats.RestoreSample(st.FrameTimes)
-		r.res.FrameEnergies = stats.RestoreSample(st.FrameEnergies)
 	}
 	return nil
 }

@@ -70,9 +70,8 @@ type RunOptions struct {
 }
 
 // NewSupervisor validates the config, derives every session plan, and
-// synthesizes the shared trace cache. Traces build sequentially: synthesis
-// memoizes codec tables in package state, so it is not summary-pure, and at
-// three lengths per profile the build is startup cost, not the hot path.
+// synthesizes the shared trace cache. Traces build sequentially: at three
+// lengths per profile the build is startup cost, not the hot path.
 func NewSupervisor(cfg Config) (*Supervisor, error) {
 	cfg = cfg.normalize()
 	if err := cfg.Validate(); err != nil {

@@ -382,7 +382,7 @@ func (w *allocWalker) call(call *ast.CallExpr, ctx allocCtx) {
 				}
 			case "append":
 				if !ctx.cold && !ctx.capGuarded && len(call.Args) > 0 {
-					if len(w.cls.rootsOf(call.Args[0], false, true)) == 0 {
+					if len(w.cls.rootsOf(call.Args[0], true)) == 0 {
 						w.pass.Reportf(call.Pos(), "append to a function-local slice on the hot path allocates a fresh backing array; root the buffer in a reused field and append to buf[:0]")
 					}
 				}

@@ -8,8 +8,8 @@ import (
 )
 
 // Package-level call graph over one package, the substrate for the
-// interprocedural analyses (summary.go, statecheck, puritycheck, and the
-// call-boundary cases of unitflow and ledgercheck). Per DESIGN.md
+// interprocedural analyses (summary.go, statecheck, allocheck's hot-path
+// cone, and the call-boundary cases of unitflow and ledgercheck). Per DESIGN.md
 // "machlint v3", resolution covers four callee shapes:
 //
 //   - static calls of package-level functions, in this package or any other
@@ -17,7 +17,7 @@ import (
 //   - method calls on concrete receivers, via go/types method resolution;
 //   - interface dispatch, resolved to every named type declared anywhere in
 //     the module that implements the interface (a call edge per
-//     implementation; effects meet conservatively at the call);
+//     implementation; facts meet conservatively at the call);
 //   - function values, tracked flow-sensitively through the existing
 //     dataflow facts (forwardFixpoint with a func-identity fact), with a
 //     flow-insensitive once-bound fallback so a closure captured from the
@@ -27,7 +27,7 @@ import (
 // Function literals are first-class nodes. A literal also gets a lexical
 // containment edge from its enclosing function: even when a literal is only
 // passed away (par.Pool.ForShards, sort.Search), its body still runs on
-// behalf of the caller, so reachability and effect summaries must see it.
+// behalf of the caller, so reachability must see it.
 
 // funcNode is one analyzable function: a declared function/method or a
 // function literal.
@@ -66,8 +66,8 @@ type callGraph struct {
 // order from LoadModule, so by the time a package is summarized its static
 // callees in other packages already are; the one forward reference —
 // interface dispatch into a package that imports this one — falls back to
-// the unknown-callee default (assumed effect-free), which is the same
-// optimistic default used for stdlib calls.
+// the unknown-callee default (fresh, dimensionless results), which is the
+// same optimistic default used for stdlib calls.
 type moduleIndex struct {
 	byFunc map[*types.Func]*funcNode
 	graphs map[string]*callGraph
@@ -128,7 +128,7 @@ func buildModuleIndex(fset *token.FileSet, pkgs []*Package) *moduleIndex {
 	}
 	for _, g := range graphs {
 		for _, scc := range g.sccs {
-			summarizeSCC(g, mod, scc)
+			summarizeSCC(g, scc)
 		}
 	}
 	return mod

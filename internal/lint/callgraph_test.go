@@ -171,58 +171,4 @@ func caller(n int) bool { return odd(n) }
 	if odd.sum == nil || even.sum == nil {
 		t.Fatalf("recursive SCC missing summaries")
 	}
-	if !odd.sum.pure() {
-		t.Fatalf("odd is pure; summary says otherwise")
-	}
-}
-
-func TestSummaryEffects(t *testing.T) {
-	src := `package p
-
-var global int
-
-type T struct {
-	n int
-	m map[int]int
-}
-
-func (t *T) bump() { t.n++ }
-
-func (t *T) rangeMap() int {
-	s := 0
-	for _, v := range t.m {
-		s += v
-	}
-	return s
-}
-
-func writesGlobal() { global++ }
-
-func callsBump(t *T) { t.bump() }
-
-func pureCopy(cfg T) int {
-	cfg.n++
-	return cfg.n
-}
-`
-	pkg, mod := buildTestIndex(t, src, "example.com/p")
-	g := mod.graphs[pkg.Path]
-	if s := declaredNode(t, g, "bump").sum; s == nil || s.writesRecv == nil {
-		t.Fatalf("bump should carry a receiver write effect")
-	}
-	if s := declaredNode(t, g, "rangeMap").sum; s == nil || s.rangesRecv == nil {
-		t.Fatalf("rangeMap should carry a receiver map-range effect")
-	}
-	if s := declaredNode(t, g, "writesGlobal").sum; s == nil || s.writesGlobal == nil || s.pure() {
-		t.Fatalf("writesGlobal should carry a global write effect and be impure")
-	}
-	// The callee's receiver effect translates through the call: callsBump
-	// writes its parameter's referent.
-	if s := declaredNode(t, g, "callsBump").sum; s == nil || s.writesParam[0] == nil {
-		t.Fatalf("callsBump should fold bump's receiver write into a parameter write")
-	}
-	// Mutating a by-value struct copy is invisible to the caller.
-	if s := declaredNode(t, g, "pureCopy").sum; s == nil || !s.pure() || s.writesParam[0] != nil {
-		t.Fatalf("pureCopy mutates only its local copy; summary disagrees: %+v", s)
-	}
 }

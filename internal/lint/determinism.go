@@ -14,20 +14,17 @@ import (
 //   - the global math/rand source (rand.Intn, rand.Float64, rand.Seed, …) —
 //     only explicitly seeded rand.New(rand.NewSource(seed)) generators are
 //     reproducible and replayable;
-//   - range over a map whose body appends to a slice, prints, or sends on a
-//     channel — Go randomizes map iteration order, so any ordered output
-//     built inside such a loop differs between runs;
-//   - a `go func(){...}` literal that writes a captured variable — a data
-//     race, and even when "benign" the interleaving makes results depend
-//     on goroutine scheduling. The parallel engine's ownership idioms
-//     pass: writes to goroutine-local variables, channel sends, writes
-//     into a slice slot selected by a goroutine-local index (each worker
-//     owns its slots), and bodies that take a sync lock.
+//   - range over a map whose body appends to a slice, prints, writes to a
+//     buffer, or sends on a channel — Go randomizes map iteration order, so
+//     any ordered output built inside such a loop differs between runs.
+//
+// Shared-state writes from concurrent goroutines are not a static rule:
+// `go test -race` over the parallel-equals-sequential tests is the
+// repository's concurrency check.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc: "forbid wall-clock time, the global math/rand source, order-dependent " +
-		"map iteration, and unsynchronized captured-variable writes in goroutines " +
-		"in the simulation packages (internal/sim, core, video, mach, delivery, experiments, par, fleet)",
+	Doc: "forbid wall-clock time, the global math/rand source and order-dependent " +
+		"map iteration in the simulation packages (internal/sim, core, video, mach, delivery, experiments, par, fleet)",
 	Run: runDeterminism,
 }
 
@@ -73,8 +70,6 @@ func runDeterminism(pass *Pass) {
 				checkNondeterministicCall(pass, n)
 			case *ast.RangeStmt:
 				checkMapRange(pass, n)
-			case *ast.GoStmt:
-				checkGoroutineCaptures(pass, n)
 			}
 			return true
 		})
@@ -158,171 +153,6 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 	if sink != "" {
 		pass.Reportf(rng.Pos(), "map iteration order is randomized but this loop %s; iterate over sorted keys instead", sink)
 	}
-}
-
-// checkGoroutineCaptures flags writes to captured variables inside a
-// `go func(){...}` literal. Only syntactic goroutine launches of function
-// literals are analyzed (a named function receiving shared state through
-// its parameters is the caller's contract to get right), which keeps the
-// check free of false positives on the worker-pool callbacks the parallel
-// engine runs through par.Pool.ForShards.
-func checkGoroutineCaptures(pass *Pass, g *ast.GoStmt) {
-	lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit)
-	if !ok {
-		return
-	}
-	// A body that takes a lock has declared its synchronization story;
-	// whether the guard actually covers every write is the race
-	// detector's job, not a static lint's.
-	if bodyLocks(pass, lit) {
-		return
-	}
-	report := func(pos ast.Node, name string) {
-		pass.Reportf(pos.Pos(), "goroutine writes captured variable %q: results then depend on scheduling; "+
-			"give each goroutine its own index-addressed slot, send on a channel, or guard with a sync lock", name)
-	}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if inner, ok := n.(*ast.GoStmt); ok && inner != g {
-			// Nested launches are visited by the outer Inspect pass.
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if name, bad := capturedWrite(pass, lit, lhs); bad {
-					report(lhs, name)
-				}
-			}
-		case *ast.IncDecStmt:
-			if name, bad := capturedWrite(pass, lit, n.X); bad {
-				report(n.X, name)
-			}
-		}
-		return true
-	})
-}
-
-// bodyLocks reports whether the literal's body calls a Lock/RLock method
-// (sync.Mutex, sync.RWMutex, or anything implementing the same contract).
-func bodyLocks(pass *Pass, lit *ast.FuncLit) bool {
-	found := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || found {
-			return !found
-		}
-		if fn := calleeFunc(pass, call); fn != nil {
-			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil &&
-				(fn.Name() == "Lock" || fn.Name() == "RLock") {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// capturedWrite decides whether assigning through lhs mutates state
-// captured from outside the function literal. It unwraps selectors,
-// dereferences and index expressions down to the root identifier;
-// indexing a captured slice with a goroutine-local index is the engine's
-// sanctioned slot-ownership pattern and passes, while map indexing is
-// never safe concurrently.
-func capturedWrite(pass *Pass, lit *ast.FuncLit, lhs ast.Expr) (name string, bad bool) {
-	viaSliceIndex := false
-	localIndex := true
-	expr := lhs
-	for {
-		switch e := ast.Unparen(expr).(type) {
-		case *ast.IndexExpr:
-			tv, ok := pass.Info.Types[e.X]
-			if !ok {
-				return "", false
-			}
-			if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-				// Concurrent map writes fault at runtime; no index
-				// discipline makes them safe.
-				if root, captured := rootCaptured(pass, lit, e.X); captured {
-					return root, true
-				}
-				return "", false
-			}
-			viaSliceIndex = true
-			if !exprLocal(pass, lit, e.Index) {
-				localIndex = false
-			}
-			expr = e.X
-		case *ast.SelectorExpr:
-			expr = e.X
-		case *ast.StarExpr:
-			expr = e.X
-		case *ast.Ident:
-			if e.Name == "_" {
-				return "", false
-			}
-			obj := pass.Info.ObjectOf(e)
-			if obj == nil || !isCaptured(lit, obj) {
-				return "", false
-			}
-			if viaSliceIndex && localIndex {
-				return "", false // index-owned slot in a shared slice
-			}
-			return e.Name, true
-		default:
-			return "", false
-		}
-	}
-}
-
-// rootCaptured finds the root identifier of expr and reports whether it
-// is captured from outside the literal.
-func rootCaptured(pass *Pass, lit *ast.FuncLit, expr ast.Expr) (string, bool) {
-	for {
-		switch e := ast.Unparen(expr).(type) {
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.SelectorExpr:
-			expr = e.X
-		case *ast.StarExpr:
-			expr = e.X
-		case *ast.Ident:
-			obj := pass.Info.ObjectOf(e)
-			if obj != nil && isCaptured(lit, obj) {
-				return e.Name, true
-			}
-			return "", false
-		default:
-			return "", false
-		}
-	}
-}
-
-// exprLocal reports whether every variable the expression reads is
-// declared inside the literal (parameters included): such an expression
-// is goroutine-local and safe to use as a slot index.
-func exprLocal(pass *Pass, lit *ast.FuncLit, expr ast.Expr) bool {
-	local := true
-	ast.Inspect(expr, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || !local {
-			return local
-		}
-		if obj, ok := pass.Info.ObjectOf(id).(*types.Var); ok && isCaptured(lit, obj) {
-			local = false
-		}
-		return local
-	})
-	return local
-}
-
-// isCaptured reports whether obj is declared outside the literal's
-// source range (and is a variable — functions, types and constants are
-// immutable and never racy to read).
-func isCaptured(lit *ast.FuncLit, obj types.Object) bool {
-	if _, isVar := obj.(*types.Var); !isVar {
-		return false
-	}
-	return obj.Pos() < lit.Pos() || obj.Pos() > lit.End()
 }
 
 // isWriterMethod reports whether fn is a Write* method on the standard

@@ -381,7 +381,6 @@ func All() []*Analyzer {
 		UnitFlow,
 		LedgerCheck,
 		StateCheck,
-		PurityCheck,
 		PathCheck,
 		FloatEq,
 		SelfCompare,

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -9,19 +8,15 @@ import (
 )
 
 // Per-function summaries, computed bottom-up over the SCC condensation of
-// each package's call graph (recursive cycles iterate to a fixpoint; the
-// effect lattice is finite and grows monotonically, so it converges). A
-// summary answers, for any call site, the questions the interprocedural
-// analyzers ask:
+// each package's call graph (recursive cycles iterate to a fixpoint; every
+// fact only moves up a finite lattice, so it converges). A summary answers,
+// for any call site, the questions the interprocedural analyzers ask:
 //
-//   - purity/determinism effects: does the function (transitively) read the
-//     wall clock or the global math/rand source, range over a map, or write
-//     state it does not own? Effects are recorded against the *root* the
-//     mutated state hangs off — a global, the receiver, a parameter, or a
-//     captured variable — so a call site can translate them through its own
-//     arguments: a callee that writes its receiver is harmless when the
-//     receiver is a local the caller just built, and damning when it is
-//     shared state captured by a par worker.
+//   - aliasing: may a result alias state the caller does not own — the
+//     receiver, a parameter, a captured or a package-level variable? The
+//     classifier reads this through callResultRoots, so allocheck can tell
+//     an append into a reused buffer handed back by a helper from an append
+//     into a fresh local slice.
 //   - unit dimensions: the dimension of each result (so a Joules total
 //     returned as a plain float64 cannot launder into Watts in the caller)
 //     and of each plain-typed parameter the body constrains additively.
@@ -30,45 +25,17 @@ import (
 //     to ledgercheck's exactly-one-ledger rule.
 //
 // Unknown callees — the standard library, and interface dispatch that
-// resolves to no module implementation — default to effect-free and
-// dimensionless. That optimistic default mirrors the determinism analyzer's
-// explicit denylist (time.Now, global rand) and keeps the analyzers
-// quiet on code they cannot see; the denylist itself is checked directly at
-// every call site, so the two known-bad stdlib effects never slip through.
-//
-// Two sanctions mirror the determinism analyzer's concurrency idioms:
-// writes into an index-addressed slot of shared state selected by a
-// function-local index are slot-ownership, not shared mutation; and a body
-// that takes a sync lock has declared its synchronization story, so its
-// write effects are dropped (wall-clock and map-order effects remain — a
-// lock serializes writes, it does not order map iteration).
-
-// effect is one observed impurity: where it was observed in the current
-// package, and a human-readable chain of how it happens.
-type effect struct {
-	pos    token.Pos
-	detail string
-}
+// resolves to no module implementation — default to fresh results and
+// dimensionless values, which keeps the analyzers quiet on code they cannot
+// see.
 
 // summary is the per-function fact table.
 type summary struct {
-	timeRand       *effect
-	writesGlobal   *effect
-	rangesGlobal   *effect
-	writesRecv     *effect
-	rangesRecv     *effect
-	writesParam    []*effect
-	rangesParam    []*effect
-	writesCaptured map[*types.Var]*effect
-	rangesCaptured map[*types.Var]*effect
-
-	guarded       bool // body takes a sync lock
 	returnsShared bool // some result may alias receiver/param/global/captured state
 
 	resultDims []string // dimension of each result ("" unknown/conflicting)
 	paramDims  []string // dimension constraint of each parameter
 	accParam   []bool   // parameter flows into an energy accumulator
-	poolParam  []bool   // parameter runs as a par worker (puritycheck obligation)
 }
 
 func newSummary(n *funcNode) *summary {
@@ -78,18 +45,13 @@ func newSummary(n *funcNode) *summary {
 		nr = n.sig.Results().Len()
 	}
 	return &summary{
-		writesParam:    make([]*effect, np),
-		rangesParam:    make([]*effect, np),
-		writesCaptured: map[*types.Var]*effect{},
-		rangesCaptured: map[*types.Var]*effect{},
-		resultDims:     make([]string, nr),
-		paramDims:      make([]string, np),
-		accParam:       make([]bool, np),
-		poolParam:      make([]bool, np),
+		resultDims: make([]string, nr),
+		paramDims:  make([]string, np),
+		accParam:   make([]bool, np),
 	}
 }
 
-// signature encodes the summary's presence bits for fixpoint convergence.
+// signature encodes the summary's facts for fixpoint convergence.
 func (s *summary) signature() string {
 	var sb strings.Builder
 	b := func(v bool) {
@@ -99,40 +61,15 @@ func (s *summary) signature() string {
 			sb.WriteByte('0')
 		}
 	}
-	b(s.timeRand != nil)
-	b(s.writesGlobal != nil)
-	b(s.rangesGlobal != nil)
-	b(s.writesRecv != nil)
-	b(s.rangesRecv != nil)
-	b(s.guarded)
 	b(s.returnsShared)
-	for _, e := range s.writesParam {
-		b(e != nil)
-	}
-	for _, e := range s.rangesParam {
-		b(e != nil)
-	}
-	fmt.Fprintf(&sb, "|c%d,%d|", len(s.writesCaptured), len(s.rangesCaptured))
+	sb.WriteByte('|')
 	sb.WriteString(strings.Join(s.resultDims, ";"))
 	sb.WriteByte('|')
 	sb.WriteString(strings.Join(s.paramDims, ";"))
 	for _, v := range s.accParam {
 		b(v)
 	}
-	for _, v := range s.poolParam {
-		b(v)
-	}
 	return sb.String()
-}
-
-// pure reports whether the summary records no effect a par worker is
-// forbidden (writes to shared state, shared map iteration, wall clock or
-// global randomness). Receiver/parameter-rooted effects are relative — the
-// call site decides whether those roots are shared — so they do not count
-// here.
-func (s *summary) pure() bool {
-	return s.timeRand == nil && s.writesGlobal == nil && s.rangesGlobal == nil &&
-		len(s.writesCaptured) == 0 && len(s.rangesCaptured) == 0
 }
 
 // ---------------------------------------------------------------------------
@@ -141,7 +78,7 @@ func (s *summary) pure() bool {
 type rootClass int
 
 const (
-	classFresh rootClass = iota // local to the function (or an owned slot)
+	classFresh rootClass = iota // local to the function
 	classGlobal
 	classRecv
 	classParam
@@ -150,8 +87,7 @@ const (
 
 type rootRef struct {
 	class rootClass
-	index int        // parameter index for classParam
-	v     *types.Var // the variable for classCaptured
+	index int // parameter index for classParam
 }
 
 // classifier resolves what state an expression of one function can reach,
@@ -187,12 +123,12 @@ func (c *classifier) classifyVar(v *types.Var) rootRef {
 		return rootRef{class: classGlobal}
 	}
 	if c.n.lit != nil && (v.Pos() < c.n.lit.Pos() || v.Pos() > c.n.lit.End()) {
-		return rootRef{class: classCaptured, v: v}
+		return rootRef{class: classCaptured}
 	}
 	return rootRef{class: classFresh}
 }
 
-// sharedRootsOfVar expands a variable to the shared roots writes through it
+// sharedRootsOfVar expands a variable to the shared roots a dereference of it
 // can reach: its own classification plus whatever a local may alias.
 func (c *classifier) sharedRootsOfVar(v *types.Var) []rootRef {
 	r := c.classifyVar(v)
@@ -200,34 +136,6 @@ func (c *classifier) sharedRootsOfVar(v *types.Var) []rootRef {
 		return []rootRef{r}
 	}
 	return c.aliases[v]
-}
-
-// exprIsLocal reports whether every variable the expression reads is local
-// to the function (parameters count: reading a parameter's value is a
-// function-local computation). Such expressions are safe slot indexes.
-func (c *classifier) exprIsLocal(e ast.Expr) bool {
-	local := true
-	ast.Inspect(e, func(nd ast.Node) bool {
-		id, ok := nd.(*ast.Ident)
-		if !ok || !local {
-			return local
-		}
-		v, ok := c.g.pass.Info.ObjectOf(id).(*types.Var)
-		if !ok || v.IsField() {
-			return true
-		}
-		switch c.classifyVar(v).class {
-		case classFresh:
-			if len(c.aliases[v]) > 0 {
-				local = false
-			}
-		case classParam:
-		default:
-			local = false
-		}
-		return local
-	})
-	return local
 }
 
 // isRefCarrying reports whether a value of type t can share a referent with
@@ -262,17 +170,13 @@ func refCarrying(t types.Type, depth int) bool {
 //
 // deref tracks Go's value semantics: it starts false and turns true the
 // first time the chain passes a dereference (a selector through a pointer,
-// a slice/map index, an explicit *). A write that never derefs mutates the
-// variable itself — which is only shared when the variable is captured (by
-// reference) or package-level; writes to a by-value parameter or receiver
-// copy, like `cfg.Delivery = d` on a value Config, are local and yield no
-// root. With deref set, the write lands in the referent, so the root
-// variable's classification (and a local's aliases) apply.
-//
-// With forWrite set, an index into a non-map container selected by a
-// function-local index is the sanctioned slot-ownership pattern
-// (errs[i] = …, w.pre.digest[ord] = …) and yields no root.
-func (c *classifier) rootsOf(e ast.Expr, forWrite, deref bool) []rootRef {
+// a slice/map index, an explicit *). Without one the expression denotes the
+// variable's own storage, which is only shared when the variable is
+// captured (by reference) or package-level: `&cfg.Delivery` on a by-value
+// Config parameter points into the local copy and yields no root. With
+// deref set, the expression reaches the referent, so the root variable's
+// classification (and a local's aliases) apply.
+func (c *classifier) rootsOf(e ast.Expr, deref bool) []rootRef {
 	info := c.g.pass.Info
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
@@ -308,38 +212,32 @@ func (c *classifier) rootsOf(e ast.Expr, forWrite, deref bool) []rootRef {
 				d = true
 			}
 		}
-		return c.rootsOf(e.X, forWrite, d)
+		return c.rootsOf(e.X, d)
 	case *ast.IndexExpr:
-		isMap := false
 		d := deref
 		if tv, ok := info.Types[e.X]; ok {
 			switch tv.Type.Underlying().(type) {
-			case *types.Map:
-				isMap, d = true, true
-			case *types.Slice, *types.Pointer:
+			case *types.Map, *types.Slice, *types.Pointer:
 				d = true
 			}
 		}
-		if forWrite && !isMap && c.exprIsLocal(e.Index) {
-			return nil // index-owned slot
-		}
-		return c.rootsOf(e.X, forWrite, d)
+		return c.rootsOf(e.X, d)
 	case *ast.SliceExpr:
-		return c.rootsOf(e.X, forWrite, true)
+		return c.rootsOf(e.X, true)
 	case *ast.StarExpr:
-		return c.rootsOf(e.X, forWrite, true)
+		return c.rootsOf(e.X, true)
 	case *ast.UnaryExpr:
-		return c.rootsOf(e.X, forWrite, deref)
+		return c.rootsOf(e.X, deref)
 	case *ast.TypeAssertExpr:
-		return c.rootsOf(e.X, forWrite, true)
+		return c.rootsOf(e.X, true)
 	case *ast.CallExpr:
 		if tv, ok := info.Types[e.Fun]; ok && tv.IsType() {
 			if len(e.Args) == 1 {
-				return c.rootsOf(e.Args[0], forWrite, deref)
+				return c.rootsOf(e.Args[0], deref)
 			}
 			return nil
 		}
-		return c.callResultRoots(e, forWrite)
+		return c.callResultRoots(e)
 	}
 	return nil
 }
@@ -349,7 +247,7 @@ func (c *classifier) rootsOf(e ast.Expr, forWrite, deref bool) []rootRef {
 // and the ref-carrying arguments contribute their roots (a by-value
 // argument was copied across the call; the result cannot alias the
 // caller's copy).
-func (c *classifier) callResultRoots(call *ast.CallExpr, forWrite bool) []rootRef {
+func (c *classifier) callResultRoots(call *ast.CallExpr) []rootRef {
 	shared := false
 	for _, t := range c.g.calleesOf(call) {
 		if t.sum != nil && t.sum.returnsShared {
@@ -366,7 +264,7 @@ func (c *classifier) callResultRoots(call *ast.CallExpr, forWrite bool) []rootRe
 		if tv, ok := info.Types[e]; ok && !isRefCarrying(tv.Type) {
 			return
 		}
-		roots = append(roots, c.rootsOf(e, forWrite, true)...)
+		roots = append(roots, c.rootsOf(e, true)...)
 	}
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		add(sel.X)
@@ -379,23 +277,19 @@ func (c *classifier) callResultRoots(call *ast.CallExpr, forWrite bool) []rootRe
 
 // buildAliases iterates the body's bindings until the local→shared-root map
 // stabilizes. Nested literal bodies are excluded: their locals belong to
-// their own nodes, and their captures translate at fold time.
+// their own nodes.
 func (c *classifier) buildAliases() {
 	// aliasRoots evaluates what referent a bound value shares. A plain read
 	// of a ref-carrying value (`s := m.lines`) yields a reference whose
 	// referent survives any number of struct copies, so the leaf variable is
 	// classified fully (deref=true). `&expr` instead points at the location
-	// of expr, whose sharedness follows write semantics: `p := &t.f` on a
-	// by-value t points into the local copy (deref=false at the leaf).
+	// of expr: `p := &t.f` on a by-value t points into the local copy
+	// (deref=false at the leaf).
 	aliasRoots := func(rhs ast.Expr) []rootRef {
 		if u, ok := ast.Unparen(rhs).(*ast.UnaryExpr); ok && u.Op == token.AND {
-			return c.rootsOf(rhs, true, false)
+			return c.rootsOf(rhs, false)
 		}
-		// Plain reads classify with forWrite off: the index-owned-slot
-		// sanction covers writes into a slot, but reading a slot
-		// (`layout := w.pool[n-1]`) still yields a reference into the
-		// container's shared referent.
-		return c.rootsOf(rhs, false, true)
+		return c.rootsOf(rhs, true)
 	}
 	bind := func(lhs ast.Expr, roots []rootRef) bool {
 		v := lhsVar(c.g.pass, lhs)
@@ -450,7 +344,7 @@ func (c *classifier) buildAliases() {
 					}
 				}
 			case *ast.RangeStmt:
-				roots := c.rootsOf(nd.X, false, true)
+				roots := c.rootsOf(nd.X, true)
 				if nd.Key != nil && bind(nd.Key, roots) {
 					changed = true
 				}
@@ -490,8 +384,8 @@ func walkOwnLevel(body *ast.BlockStmt, visit func(ast.Node)) {
 
 // summarizeSCC computes the summaries of one strongly connected component.
 // Single functions take one pass (their callees, being in earlier SCCs, are
-// done); recursive cycles iterate until the effect signatures stop moving.
-func summarizeSCC(g *callGraph, mod *moduleIndex, scc []*funcNode) {
+// done); recursive cycles iterate until the signatures stop moving.
+func summarizeSCC(g *callGraph, scc []*funcNode) {
 	for _, n := range scc {
 		n.sum = newSummary(n)
 	}
@@ -499,7 +393,7 @@ func summarizeSCC(g *callGraph, mod *moduleIndex, scc []*funcNode) {
 		changed := false
 		for _, n := range scc {
 			old := n.sum.signature()
-			n.sum = computeSummary(g, mod, n)
+			n.sum = computeSummary(g, n)
 			if n.sum.signature() != old {
 				changed = true
 			}
@@ -510,247 +404,30 @@ func summarizeSCC(g *callGraph, mod *moduleIndex, scc []*funcNode) {
 	}
 }
 
-const chainDetailLimit = 240
-
-func chainDetail(callee *funcNode, detail string) string {
-	d := "calls " + callee.name + ", which " + detail
-	if len(d) > chainDetailLimit {
-		d = d[:chainDetailLimit] + "…"
-	}
-	return d
-}
-
-// record stores an effect against a root, keeping the first observation.
-func (s *summary) record(write bool, root rootRef, e *effect) {
-	slot := func(p **effect) {
-		if *p == nil {
-			*p = e
-		}
-	}
-	switch root.class {
-	case classGlobal:
-		if write {
-			slot(&s.writesGlobal)
-		} else {
-			slot(&s.rangesGlobal)
-		}
-	case classRecv:
-		if write {
-			slot(&s.writesRecv)
-		} else {
-			slot(&s.rangesRecv)
-		}
-	case classParam:
-		if root.index < 0 || root.index >= len(s.writesParam) {
-			return
-		}
-		if write {
-			slot(&s.writesParam[root.index])
-		} else {
-			slot(&s.rangesParam[root.index])
-		}
-	case classCaptured:
-		m := s.rangesCaptured
-		if write {
-			m = s.writesCaptured
-		}
-		if _, ok := m[root.v]; !ok {
-			m[root.v] = e
-		}
-	}
-}
-
 // computeSummary derives one function's summary from its body and the
 // current summaries of its callees.
-func computeSummary(g *callGraph, mod *moduleIndex, n *funcNode) *summary {
+func computeSummary(g *callGraph, n *funcNode) *summary {
 	s := newSummary(n)
 	cls := newClassifier(g, n)
 	pass := g.pass
-	s.guarded = guardedBody(pass, n.body)
-
-	recordAll := func(write bool, roots []rootRef, e *effect) {
-		for _, r := range roots {
-			s.record(write, r, e)
-		}
-	}
-
 	walkOwnLevel(n.body, func(nd ast.Node) {
-		switch nd := nd.(type) {
-		case *ast.AssignStmt:
-			// `:=` introduces fresh bindings — a rebinding, not a mutation of
-			// shared state; aliases it creates are handled by buildAliases.
-			if !s.guarded && nd.Tok != token.DEFINE {
-				for _, lhs := range nd.Lhs {
-					roots := cls.rootsOf(lhs, true, false)
-					recordAll(true, roots, &effect{pos: lhs.Pos(), detail: "writes " + pass.ExprString(lhs)})
-				}
+		ret, ok := nd.(*ast.ReturnStmt)
+		if !ok {
+			return
+		}
+		for _, res := range ret.Results {
+			// Only a ref-carrying result can hand the caller a handle to
+			// shared state; `return r.frames` does, `return r.count` can't.
+			if tv, ok := pass.Info.Types[res]; ok && !isRefCarrying(tv.Type) {
+				continue
 			}
-		case *ast.IncDecStmt:
-			if !s.guarded {
-				roots := cls.rootsOf(nd.X, true, false)
-				recordAll(true, roots, &effect{pos: nd.Pos(), detail: "writes " + pass.ExprString(nd.X)})
+			if len(cls.rootsOf(res, true)) > 0 {
+				s.returnsShared = true
 			}
-		case *ast.RangeStmt:
-			if s.guarded {
-				return
-			}
-			if tv, ok := pass.Info.Types[nd.X]; ok {
-				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-					// Map contents are shared through any struct value copy,
-					// so the leaf is classified fully (deref=true).
-					roots := cls.rootsOf(nd.X, true, true)
-					recordAll(false, roots, &effect{pos: nd.Pos(), detail: "ranges over map " + pass.ExprString(nd.X)})
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, res := range nd.Results {
-				// Only a ref-carrying result can hand the caller a handle to
-				// shared state; `return r.frames` does, `return r.count` can't.
-				if tv, ok := pass.Info.Types[res]; ok && !isRefCarrying(tv.Type) {
-					continue
-				}
-				if len(cls.rootsOf(res, false, true)) > 0 {
-					s.returnsShared = true
-				}
-			}
-		case *ast.CallExpr:
-			summarizeCall(g, mod, n, cls, s, nd)
 		}
 	})
 	computeUnitFacts(g, n, cls, s)
 	return s
-}
-
-// summarizeCall folds one call site into the caller's summary: the direct
-// wall-clock/rand denylist, the resolved callees' effects translated
-// through the call's receiver and arguments, and any function-literal
-// arguments (which may run at any time on the caller's behalf).
-func summarizeCall(g *callGraph, mod *moduleIndex, n *funcNode, cls *classifier, s *summary, call *ast.CallExpr) {
-	pass := g.pass
-	if fn := calleeFunc(pass, call); fn != nil && fn.Pkg() != nil {
-		if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() == nil {
-			switch fn.Pkg().Path() {
-			case "time":
-				if fn.Name() == "Now" && s.timeRand == nil {
-					s.timeRand = &effect{pos: call.Pos(), detail: "calls time.Now"}
-				}
-			case "math/rand", "math/rand/v2":
-				if !globalRandAllowed[fn.Name()] && s.timeRand == nil {
-					s.timeRand = &effect{pos: call.Pos(), detail: "calls rand." + fn.Name() + " (process-global source)"}
-				}
-			}
-		}
-	}
-
-	var recvExpr ast.Expr
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		recvExpr = sel.X
-	}
-	for _, callee := range g.calleesOf(call) {
-		foldCallee(cls, s, call, callee, recvExpr)
-	}
-	// A literal passed as an argument runs on the caller's behalf at some
-	// point (a pool worker, a sort comparator); its effects are the
-	// caller's, with captured variables translated into the caller's frame.
-	for _, arg := range call.Args {
-		if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-			if ln := g.byLit[lit]; ln != nil && ln.sum != nil {
-				foldCaptured(cls, s, call, ln)
-				foldAbsolute(s, call, ln)
-			}
-		}
-	}
-	recordPoolObligations(g, n, cls, s, call)
-}
-
-// foldCallee translates one resolved callee's summary through the call.
-func foldCallee(cls *classifier, s *summary, call *ast.CallExpr, callee *funcNode, recvExpr ast.Expr) {
-	cs := callee.sum
-	if cs == nil {
-		return // forward interface dispatch into a later package
-	}
-	if !s.guarded {
-		foldAbsolute(s, call, callee)
-		foldCaptured(cls, s, call, callee)
-		if cs.writesRecv != nil && recvExpr != nil {
-			e := &effect{pos: call.Pos(), detail: chainDetail(callee, cs.writesRecv.detail)}
-			for _, r := range cls.rootsOf(recvExpr, true, true) {
-				s.record(true, r, e)
-			}
-		}
-		if cs.rangesRecv != nil && recvExpr != nil {
-			e := &effect{pos: call.Pos(), detail: chainDetail(callee, cs.rangesRecv.detail)}
-			for _, r := range cls.rootsOf(recvExpr, true, true) {
-				s.record(false, r, e)
-			}
-		}
-		for k, we := range cs.writesParam {
-			if we == nil {
-				continue
-			}
-			for _, arg := range argsForParam(call, callee, k) {
-				e := &effect{pos: call.Pos(), detail: chainDetail(callee, we.detail)}
-				for _, r := range cls.rootsOf(arg, true, true) {
-					s.record(true, r, e)
-				}
-			}
-		}
-		for k, re := range cs.rangesParam {
-			if re == nil {
-				continue
-			}
-			for _, arg := range argsForParam(call, callee, k) {
-				e := &effect{pos: call.Pos(), detail: chainDetail(callee, re.detail)}
-				for _, r := range cls.rootsOf(arg, true, true) {
-					s.record(false, r, e)
-				}
-			}
-		}
-	}
-}
-
-// foldAbsolute copies the callee effects that need no translation: the wall
-// clock and package-level state are shared from every vantage point.
-func foldAbsolute(s *summary, call *ast.CallExpr, callee *funcNode) {
-	cs := callee.sum
-	if cs == nil {
-		return
-	}
-	if cs.timeRand != nil && s.timeRand == nil {
-		s.timeRand = &effect{pos: call.Pos(), detail: chainDetail(callee, cs.timeRand.detail)}
-	}
-	if s.guarded {
-		return
-	}
-	if cs.writesGlobal != nil {
-		s.record(true, rootRef{class: classGlobal}, &effect{pos: call.Pos(), detail: chainDetail(callee, cs.writesGlobal.detail)})
-	}
-	if cs.rangesGlobal != nil {
-		s.record(false, rootRef{class: classGlobal}, &effect{pos: call.Pos(), detail: chainDetail(callee, cs.rangesGlobal.detail)})
-	}
-}
-
-// foldCaptured translates the callee's captured-variable effects into the
-// caller's frame: a variable the callee captured is, from here, a local
-// (drop, unless it aliases shared state), a parameter, the receiver, a
-// global, or something this function itself captured.
-func foldCaptured(cls *classifier, s *summary, call *ast.CallExpr, callee *funcNode) {
-	cs := callee.sum
-	if cs == nil || s.guarded {
-		return
-	}
-	for v, we := range cs.writesCaptured {
-		e := &effect{pos: call.Pos(), detail: chainDetail(callee, we.detail)}
-		for _, r := range cls.sharedRootsOfVar(v) {
-			s.record(true, r, e)
-		}
-	}
-	for v, re := range cs.rangesCaptured {
-		e := &effect{pos: call.Pos(), detail: chainDetail(callee, re.detail)}
-		for _, r := range cls.sharedRootsOfVar(v) {
-			s.record(false, r, e)
-		}
-	}
 }
 
 // argsForParam returns the call arguments feeding parameter index k of the
@@ -775,81 +452,6 @@ func argsForParam(call *ast.CallExpr, callee *funcNode, k int) []ast.Expr {
 		}
 	}
 	return out
-}
-
-// recordPoolObligations marks parameters whose values end up running as par
-// workers, so the purity obligation chases through forwarding layers
-// (experiments.runIsolated → par.Pool.Map → the ForShards worker literal).
-func recordPoolObligations(g *callGraph, n *funcNode, cls *classifier, s *summary, call *ast.CallExpr) {
-	paramIndexOf := func(e ast.Expr) int {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok {
-			return -1
-		}
-		v, _ := g.pass.Info.ObjectOf(id).(*types.Var)
-		if v == nil {
-			return -1
-		}
-		r := cls.classifyVar(v)
-		if r.class != classParam {
-			return -1
-		}
-		return r.index
-	}
-	mark := func(i int) {
-		if i >= 0 && i < len(s.poolParam) {
-			s.poolParam[i] = true
-		}
-	}
-	if wi, ok := poolWorkerArg(g.pass, call); ok && wi < len(call.Args) {
-		worker := call.Args[wi]
-		mark(paramIndexOf(worker))
-		// A worker literal that calls one of this function's func-typed
-		// parameters transfers the obligation to that parameter too.
-		if lit, ok := ast.Unparen(worker).(*ast.FuncLit); ok {
-			ast.Inspect(lit.Body, func(nd ast.Node) bool {
-				inner, ok := nd.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				mark(paramIndexOf(inner.Fun))
-				return true
-			})
-		}
-	}
-	for _, callee := range g.calleesOf(call) {
-		if callee.sum == nil {
-			continue
-		}
-		for k, isPool := range callee.sum.poolParam {
-			if !isPool {
-				continue
-			}
-			for _, arg := range argsForParam(call, callee, k) {
-				mark(paramIndexOf(arg))
-			}
-		}
-	}
-}
-
-// guardedBody reports whether the body calls a Lock/RLock method outside
-// nested literals (the same sanction the determinism analyzer grants
-// goroutine bodies: a declared synchronization story).
-func guardedBody(pass *Pass, body *ast.BlockStmt) bool {
-	found := false
-	walkOwnLevel(body, func(nd ast.Node) {
-		call, ok := nd.(*ast.CallExpr)
-		if !ok || found {
-			return
-		}
-		if fn := calleeFunc(pass, call); fn != nil {
-			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil &&
-				(fn.Name() == "Lock" || fn.Name() == "RLock") {
-				found = true
-			}
-		}
-	})
-	return found
 }
 
 // ---------------------------------------------------------------------------

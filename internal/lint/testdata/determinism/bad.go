@@ -6,6 +6,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 )
 
@@ -32,5 +33,19 @@ func Keys(m map[string]int) []string {
 func Dump(m map[string]int) {
 	for k, v := range m { // want "map iteration order is randomized but this loop formats output"
 		fmt.Println(k, v)
+	}
+}
+
+func Join(m map[string]int) string {
+	var sb strings.Builder
+	for k := range m { // want "map iteration order is randomized but this loop writes to a buffer"
+		sb.WriteString(k)
+	}
+	return sb.String()
+}
+
+func Publish(m map[string]int, ch chan<- string) {
+	for k := range m { // want "map iteration order is randomized but this loop sends on a channel"
+		ch <- k
 	}
 }

@@ -65,9 +65,11 @@ func runClip(t *testing.T, cfg Config, pool *par.Pool, frames []*codec.Frame) (S
 // determinism guarantee: for every configuration axis that changes what the
 // prehash computes (gab mode, CO-MACH aux, collision tracking, digest
 // function), a pooled Writeback must produce stats, layouts and write
-// streams identical to the sequential engine.
+// streams identical to the sequential engine. 160x96 is 960 mabs, two
+// prehashGrain shards, so every pooled run hashes on two goroutines at once
+// and `go test -race` sees the workers' writes.
 func TestPrehashParallelEquivalence(t *testing.T) {
-	const w, h, n = 64, 32, 6
+	const w, h, n = 160, 96, 6
 	configs := map[string]func() Config{
 		"gab":      DefaultConfig,
 		"mab":      func() Config { c := DefaultConfig(); c.Gradient = false; return c },

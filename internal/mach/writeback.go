@@ -331,7 +331,8 @@ func (w *Writeback) SetPool(p *par.Pool) {
 // prehashGrain is the number of mabs per shard of the parallel prehash.
 // Shard boundaries are a function of this constant and the frame geometry
 // alone — never of the worker count — so every pool width computes the
-// same values into the same slots (par.Shards documents the invariant).
+// same values into the same slots (par.Pool.ForShards documents the
+// invariant).
 const prehashGrain = 512
 
 // prehashFrame computes the per-mab digest values for one frame. Each slot

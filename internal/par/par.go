@@ -6,15 +6,17 @@
 //
 //   - Work is divided into shards whose boundaries are a pure function of
 //     the item count and a fixed grain — never of the number of workers or
-//     of runtime scheduling (Shards).
+//     of runtime scheduling (ForShards).
 //   - Workers write results only into index-addressed slots they own
 //     (out[i] for item i); no shard ever aggregates into shared state.
 //   - Any order-sensitive reduction happens in the caller, serially, in
 //     item order, after the pool has joined.
 //
-// machlint's determinism analyzer enforces the write-ownership rule for
-// goroutines it can see syntactically; this package keeps the pool itself
-// small enough to audit by hand.
+// No static check proves the write-ownership rule. `go test -race` over the
+// tests that drive each pool site with several workers, together with the
+// tests that require a parallel run to be bit-identical to the sequential
+// one, is what enforces it; this package keeps the pool itself small enough
+// to audit by hand.
 package par
 
 import (
@@ -50,39 +52,17 @@ func (p *Pool) Workers() int {
 	return p.workers
 }
 
-// Shard is one contiguous range [Lo,Hi) of work items.
-type Shard struct {
-	Lo, Hi int
-}
-
-// Shards partitions [0,n) into ceil(n/grain) contiguous ranges of grain
-// items each (the last may be short). The boundaries depend only on n and
-// grain — never on the worker count — which is what keeps shard-local
-// computation (hash streaming, scratch reuse) bit-identical whether the
-// shards run on one worker or sixteen.
-func Shards(n, grain int) []Shard {
-	if grain < 1 {
-		grain = 1
-	}
-	if n <= 0 {
-		return nil
-	}
-	out := make([]Shard, 0, (n+grain-1)/grain)
-	for lo := 0; lo < n; lo += grain {
-		hi := lo + grain
-		if hi > n {
-			hi = n
-		}
-		out = append(out, Shard{Lo: lo, Hi: hi})
-	}
-	return out
-}
-
 // ForShards runs fn over every shard of [0,n), distributing shards to
-// workers via an atomic cursor. worker is a stable id in [0,Workers()) for
-// per-worker scratch buffers; fn must only write state owned by the shard
-// (index-addressed output slots) or by the worker (scratch). With one
-// worker, or one shard, everything runs inline on the caller.
+// workers via an atomic cursor. The shards are ceil(n/grain) contiguous
+// ranges of grain items each (the last may be short). Their boundaries
+// depend only on n and grain, never on the worker count, which is what
+// keeps shard-local computation (hash streaming, scratch reuse)
+// bit-identical whether the shards run on one worker or sixteen.
+//
+// worker is a stable id in [0,Workers()) for per-worker scratch buffers;
+// fn must only write state owned by the shard (index-addressed output
+// slots) or by the worker (scratch). With one worker, or one shard,
+// everything runs inline on the caller.
 //
 // A panic in fn is re-raised on the caller after all workers have joined,
 // so a bug cannot crash the process from an anonymous goroutine.

@@ -2,32 +2,43 @@ package par
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
+// TestShardsStableBoundaries pins the shard table ForShards hands out: the
+// (lo,hi) ranges depend only on n and grain, identical at every pool width.
 func TestShardsStableBoundaries(t *testing.T) {
+	type span struct{ lo, hi int }
 	cases := []struct {
 		n, grain int
-		want     []Shard
+		want     []span
 	}{
 		{0, 4, nil},
 		{-3, 4, nil},
-		{1, 4, []Shard{{0, 1}}},
-		{4, 4, []Shard{{0, 4}}},
-		{5, 4, []Shard{{0, 4}, {4, 5}}},
-		{10, 3, []Shard{{0, 3}, {3, 6}, {6, 9}, {9, 10}}},
-		{3, 0, []Shard{{0, 1}, {1, 2}, {2, 3}}}, // grain clamps to 1
+		{1, 4, []span{{0, 1}}},
+		{4, 4, []span{{0, 4}}},
+		{5, 4, []span{{0, 4}, {4, 5}}},
+		{10, 3, []span{{0, 3}, {3, 6}, {6, 9}, {9, 10}}},
+		{3, 0, []span{{0, 1}, {1, 2}, {2, 3}}}, // grain clamps to 1
 	}
 	for _, c := range cases {
-		got := Shards(c.n, c.grain)
-		if len(got) != len(c.want) {
-			t.Fatalf("Shards(%d,%d) = %v, want %v", c.n, c.grain, got, c.want)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("Shards(%d,%d) = %v, want %v", c.n, c.grain, got, c.want)
+		for _, workers := range []int{1, 3, 8} {
+			var mu sync.Mutex
+			var got []span
+			New(workers).ForShards(c.n, c.grain, func(lo, hi, _ int) {
+				mu.Lock()
+				got = append(got, span{lo, hi})
+				mu.Unlock()
+			})
+			slices.SortFunc(got, func(a, b span) int { return a.lo - b.lo })
+			if !slices.Equal(got, c.want) {
+				t.Fatalf("workers=%d: ForShards(%d,%d) ran shards %v, want %v", workers, c.n, c.grain, got, c.want)
 			}
 		}
 	}
@@ -126,6 +137,32 @@ func TestMapIndexOrderAndIsolation(t *testing.T) {
 			if err != nil {
 				t.Errorf("errs[%d] = %v, want nil", i, err)
 			}
+		}
+	}
+}
+
+// TestMapRunsItemsConcurrently gives Map as many items as the pool is wide,
+// each blocking until all of them have started: the pool must run them at
+// once, on distinct goroutines, so `go test -race` sees any shared write the
+// dispatch path makes.
+func TestMapRunsItemsConcurrently(t *testing.T) {
+	const workers = 4
+	var started atomic.Int32
+	all := make(chan struct{})
+	errs := New(workers).Map(workers, func(i int) error {
+		if started.Add(1) == workers {
+			close(all)
+		}
+		select {
+		case <-all:
+			return nil
+		case <-time.After(10 * time.Second):
+			return fmt.Errorf("item %d: only %d of %d items started", i, started.Load(), workers)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
 		}
 	}
 }
