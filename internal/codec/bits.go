@@ -3,6 +3,8 @@ package codec
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 )
 
 // BitWriter packs bits MSB-first into a byte slice. It is the entropy-coder
@@ -33,24 +35,32 @@ func (w *BitWriter) WriteBits(v uint32, n uint) {
 	if n > 32 {
 		panic("codec: WriteBits n > 32")
 	}
-	for i := int(n) - 1; i >= 0; i-- {
-		w.WriteBit(v >> uint(i))
+	w.writeBits(uint64(v), n)
+}
+
+// writeBits appends the low n bits of v (n <= 64), filling the current byte
+// with as many of them as it has room for per step.
+func (w *BitWriter) writeBits(v uint64, n uint) {
+	w.bits += int64(n)
+	for n > 0 {
+		k := min(8-w.nCur, n)
+		n -= k
+		w.cur = w.cur<<k | byte(v>>n&(1<<k-1))
+		w.nCur += k
+		if w.nCur == 8 {
+			w.buf = append(w.buf, w.cur)
+			w.cur, w.nCur = 0, 0
+		}
 	}
 }
 
-// WriteUE appends v as an unsigned Exp-Golomb code (as in H.264 ue(v)).
+// WriteUE appends v as an unsigned Exp-Golomb code (as in H.264 ue(v)): for
+// x = v+1 of bit length n+1, n zeros and then x in n+1 bits.
 func (w *BitWriter) WriteUE(v uint32) {
 	x := uint64(v) + 1
-	n := uint(0)
-	for t := x; t > 1; t >>= 1 {
-		n++
-	}
-	for i := uint(0); i < n; i++ {
-		w.WriteBit(0)
-	}
-	for i := int(n); i >= 0; i-- {
-		w.WriteBit(uint32(x >> uint(i)))
-	}
+	n := uint(bits.Len64(x)) - 1
+	w.writeBits(0, n)
+	w.writeBits(x, n+1)
 }
 
 // WriteSE appends v as a signed Exp-Golomb code (se(v) mapping).
@@ -109,43 +119,67 @@ func (r *BitReader) ReadBit() (uint32, error) {
 	return uint32(b), nil
 }
 
-// ReadBits consumes n bits (n <= 32) and returns them right-aligned.
+// ReadBits consumes n bits (n <= 32) and returns them right-aligned. A read
+// past the end of the stream consumes what is left and fails.
 func (r *BitReader) ReadBits(n uint) (uint32, error) {
 	if n > 32 {
 		panic("codec: ReadBits n > 32")
 	}
+	left := int64(len(r.buf)-r.pos)*8 - int64(r.nCur)
+	if int64(n) > left {
+		r.skip(uint(left))
+		return 0, ErrBitstream
+	}
 	var v uint32
-	for i := uint(0); i < n; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v = v<<1 | b
+	for n > 0 {
+		k := min(8-r.nCur, n)
+		v = v<<k | uint32(r.buf[r.pos]<<r.nCur>>(8-k))
+		r.skip(k)
+		n -= k
 	}
 	return v, nil
 }
 
-// ReadUE consumes an unsigned Exp-Golomb code.
+// skip consumes k bits, which the stream must still hold.
+func (r *BitReader) skip(k uint) {
+	r.bits += int64(k)
+	k += r.nCur
+	r.pos += int(k / 8)
+	r.nCur = k % 8
+}
+
+// ReadUE consumes an unsigned Exp-Golomb code: a prefix of n zeros, a one,
+// and n more bits. The prefix is counted a byte at a time. A prefix longer
+// than 32 zeros, or a code worth 2^32 or more, is malformed: no 32-bit value
+// encodes to it.
 func (r *BitReader) ReadUE() (uint32, error) {
 	n := uint(0)
 	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
+		if r.pos >= len(r.buf) {
+			return 0, ErrBitstream
 		}
-		if b == 1 {
-			break
-		}
-		n++
-		if n > 32 {
+		avail := 8 - r.nCur
+		zeros := min(uint(bits.LeadingZeros8(r.buf[r.pos]<<r.nCur)), avail)
+		if n+zeros > 32 {
+			r.skip(33 - n)
 			return 0, fmt.Errorf("%w: ue prefix too long", ErrBitstream)
 		}
+		n += zeros
+		if zeros < avail {
+			r.skip(zeros + 1)
+			break
+		}
+		r.skip(avail)
 	}
 	rest, err := r.ReadBits(n)
 	if err != nil {
 		return 0, err
 	}
-	return uint32((uint64(1)<<n | uint64(rest)) - 1), nil
+	v := uint64(1)<<n | uint64(rest) - 1
+	if v > math.MaxUint32 {
+		return 0, fmt.Errorf("%w: ue value overflows 32 bits", ErrBitstream)
+	}
+	return uint32(v), nil
 }
 
 // ReadSE consumes a signed Exp-Golomb code.

@@ -1,6 +1,9 @@
 package codec
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Decoder reconstructs frames from the encoder's decode-order stream and
 // reports the per-mab work performed, which the decoder-IP model turns into
@@ -21,6 +24,7 @@ type Decoder struct {
 
 type decScratch struct {
 	pred  []byte
+	tmp   []byte // CompensateBi's forward prediction
 	resid []int32
 }
 
@@ -35,6 +39,7 @@ func NewDecoder(p Params) (*Decoder, error) {
 		newerAnchorIx: -1,
 		scratch: decScratch{
 			pred:  make([]byte, p.MabBytes()),
+			tmp:   make([]byte, p.MabBytes()),
 			resid: make([]int32, p.MabSize*p.MabSize),
 		},
 	}, nil
@@ -114,38 +119,32 @@ func (d *Decoder) Decode(ef *EncodedFrame) (*Frame, *FrameWork, error) {
 				IntraPredict(recon, x0, y0, n, mw.Mode, d.scratch.pred)
 				work.CountI++
 			case MabP:
-				dx, err := r.ReadSE()
+				mv, err := readMV(r)
 				if err != nil {
 					return nil, nil, err
 				}
-				dy, err := r.ReadSE()
-				if err != nil {
-					return nil, nil, err
-				}
-				ref := back
-				if ref == nil {
+				if back == nil {
 					return nil, nil, fmt.Errorf("%w: P mab without reference", ErrBitstream)
 				}
-				mw.MV = MotionVector{DX: int8(dx), DY: int8(dy)}
+				mw.MV = mv
 				mw.RefReads = 1
-				Compensate(ref, x0, y0, n, mw.MV, d.scratch.pred)
+				Compensate(back, x0, y0, n, mw.MV, d.scratch.pred)
 				work.CountP++
 			case MabB:
-				var vals [4]int32
-				for i := range vals {
-					v, err := r.ReadSE()
-					if err != nil {
-						return nil, nil, err
-					}
-					vals[i] = v
+				mvb, err := readMV(r)
+				if err != nil {
+					return nil, nil, err
+				}
+				mvf, err := readMV(r)
+				if err != nil {
+					return nil, nil, err
 				}
 				if back == nil || fwd == nil {
 					return nil, nil, fmt.Errorf("%w: B mab outside a B frame", ErrBitstream)
 				}
-				mw.MVB = MotionVector{DX: int8(vals[0]), DY: int8(vals[1])}
-				mw.MVF = MotionVector{DX: int8(vals[2]), DY: int8(vals[3])}
+				mw.MVB, mw.MVF = mvb, mvf
 				mw.RefReads = 2
-				CompensateBi(back, fwd, x0, y0, n, mw.MVB, mw.MVF, d.scratch.pred)
+				CompensateBi(back, fwd, x0, y0, n, mw.MVB, mw.MVF, d.scratch.pred, d.scratch.tmp)
 				work.CountB++
 			default:
 				return nil, nil, fmt.Errorf("%w: mab type %d", ErrBitstream, mtRaw)
@@ -176,4 +175,22 @@ func (d *Decoder) Decode(ef *EncodedFrame) (*Frame, *FrameWork, error) {
 		d.newerAnchor, d.newerAnchorIx = recon, idx
 	}
 	return recon, work, nil
+}
+
+// readMV reads a motion vector's two signed components. The encoder never
+// writes one beyond its search radius (at most 16), so a component outside
+// the int8 range of MotionVector is malformed, not something to wrap.
+func readMV(r *BitReader) (MotionVector, error) {
+	var c [2]int8
+	for i := range c {
+		v, err := r.ReadSE()
+		if err != nil {
+			return MotionVector{}, err
+		}
+		if v < math.MinInt8 || v > math.MaxInt8 {
+			return MotionVector{}, fmt.Errorf("%w: motion component %d", ErrBitstream, v)
+		}
+		c[i] = int8(v)
+	}
+	return MotionVector{DX: c[0], DY: c[1]}, nil
 }

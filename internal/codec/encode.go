@@ -27,7 +27,8 @@ type encScratch struct {
 	src   []byte
 	pred  []byte
 	resid [3][]int32
-	cand  []byte
+	cand  []byte // the bi-prediction under test, then intra-search scratch
+	tmp   []byte // CompensateBi's forward prediction
 }
 
 // NewEncoder returns an encoder for p, or an error for invalid parameters.
@@ -42,6 +43,7 @@ func NewEncoder(p Params) (*Encoder, error) {
 		src:  make([]byte, mb),
 		pred: make([]byte, mb),
 		cand: make([]byte, mb),
+		tmp:  make([]byte, mb),
 	}
 	for c := 0; c < 3; c++ {
 		e.scratch.resid[c] = make([]int32, n)
@@ -150,28 +152,26 @@ func (e *Encoder) encodeFrame(src *Frame, idx int, ft FrameType, back, fwd *Fram
 			mt := MabI
 			var mv, mvb, mvf MotionVector
 			var mode IntraMode
-			interSAD := int(^uint(0) >> 1)
 
 			switch ft {
 			case FrameP:
 				if back != nil {
-					mv, interSAD = MotionSearch(back, x0, y0, n, p.SearchRadius, e.scratch.src)
-					if interSAD <= threshold {
+					var sad int
+					mv, sad = MotionSearch(back, x0, y0, n, p.SearchRadius, e.scratch.src)
+					if sad <= threshold {
 						mt = MabP
 					}
 				}
 			case FrameB:
 				if back != nil && fwd != nil {
-					var sb, sf int
+					var sb int
 					mvb, sb = MotionSearch(back, x0, y0, n, p.SearchRadius, e.scratch.src)
-					mvf, sf = MotionSearch(fwd, x0, y0, n, p.SearchRadius, e.scratch.src)
-					CompensateBi(back, fwd, x0, y0, n, mvb, mvf, e.scratch.cand)
-					if bi := SAD(e.scratch.src, e.scratch.cand); bi <= threshold {
-						mt, interSAD = MabB, bi
+					mvf, _ = MotionSearch(fwd, x0, y0, n, p.SearchRadius, e.scratch.src)
+					CompensateBi(back, fwd, x0, y0, n, mvb, mvf, e.scratch.cand, e.scratch.tmp)
+					if SAD(e.scratch.src, e.scratch.cand) <= threshold {
+						mt = MabB
 					} else if sb <= threshold {
-						mt, interSAD, mv = MabP, sb, mvb
-					} else {
-						_ = sf
+						mt, mv = MabP, mvb
 					}
 				}
 			}
@@ -179,15 +179,13 @@ func (e *Encoder) encodeFrame(src *Frame, idx int, ft FrameType, back, fwd *Fram
 			// Build the prediction; intra competes when inter was rejected.
 			switch mt {
 			case MabP:
-				ref := back
-				Compensate(ref, x0, y0, n, mv, e.scratch.pred)
+				Compensate(back, x0, y0, n, mv, e.scratch.pred)
 			case MabB:
-				CompensateBi(back, fwd, x0, y0, n, mvb, mvf, e.scratch.pred)
+				copy(e.scratch.pred, e.scratch.cand)
 			default:
-				mode, _ = BestIntraMode(recon, x0, y0, n, e.scratch.src)
+				mode, _ = BestIntraMode(recon, x0, y0, n, e.scratch.src, e.scratch.cand)
 				IntraPredict(recon, x0, y0, n, mode, e.scratch.pred)
 			}
-			_ = interSAD
 
 			// Syntax: mab type, then prediction parameters.
 			w.WriteUE(uint32(mt))

@@ -131,6 +131,13 @@ func SAD(a, b []byte) int {
 	if len(a) != len(b) {
 		panic("codec: SAD on mismatched blocks")
 	}
+	return sumAbsDiff(a, b)
+}
+
+// sumAbsDiff returns the sum of |a[i]-b[i]| over a; b must be at least as
+// long as a.
+func sumAbsDiff(a, b []byte) int {
+	b = b[:len(a)]
 	s := 0
 	for i := range a {
 		d := int(a[i]) - int(b[i])

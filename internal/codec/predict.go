@@ -5,6 +5,8 @@ package codec
 // left column), Horizontal (extend left column), or Vertical (extend top
 // row). The encoder picks the mode with the lowest SAD against the source.
 
+import "math"
+
 // IntraMode selects the intra predictor.
 type IntraMode uint8
 
@@ -108,13 +110,20 @@ func IntraPredict(recon *Frame, x0, y0, size int, mode IntraMode, dst []byte) {
 }
 
 // BestIntraMode evaluates all intra modes against src and returns the one
-// with the lowest SAD (and that SAD).
-func BestIntraMode(recon *Frame, x0, y0, size int, src []byte) (IntraMode, int) {
-	pred := make([]byte, size*size*BytesPerPixel)
-	best, bestSAD := IntraDC, int(^uint(0)>>1)
+// with the lowest SAD (and that SAD), the earliest mode on a tie. pred is
+// scratch of the block's size. As in MotionSearch, a mode stops being summed
+// once its partial SAD reaches the best so far, which cannot change the
+// choice, and the returned SAD is a complete sum.
+func BestIntraMode(recon *Frame, x0, y0, size int, src, pred []byte) (IntraMode, int) {
+	rowBytes := size * BytesPerPixel
+	best, bestSAD := IntraDC, math.MaxInt
 	for m := IntraMode(0); m < numIntraModes; m++ {
 		IntraPredict(recon, x0, y0, size, m, pred)
-		if sad := SAD(src, pred); sad < bestSAD {
+		sad := 0
+		for o := 0; o < size*rowBytes && sad < bestSAD; o += rowBytes {
+			sad += sumAbsDiff(src[o:o+rowBytes], pred[o:])
+		}
+		if sad < bestSAD {
 			best, bestSAD = m, sad
 		}
 	}

@@ -7,28 +7,24 @@ package codec
 // prediction leaves behind. Quantization divides coefficients by a uniform
 // step with round-to-nearest; Quant=1 is lossless.
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
-// hadamardRows applies an in-place N-point Hadamard butterfly to each row of
-// the NxN matrix m (N must be a power of two).
-func hadamardRows(m []int32, n int) {
-	for r := 0; r < n; r++ {
-		row := m[r*n : (r+1)*n]
-		for span := 1; span < n; span <<= 1 {
-			for i := 0; i < n; i += span << 1 {
-				for j := i; j < i+span; j++ {
-					a, b := row[j], row[j+span]
-					row[j], row[j+span] = a+b, a-b
-				}
+// hadamard2D applies the 2-D Hadamard transform in place to the row-major
+// NxN matrix m: the butterfly stages of span 1, 2, ..., n/2 transform each
+// row, and the stages of span n, 2n, ..., n*n/2 transform each column at
+// stride n. The column pass reads the rows' output in place, so no transpose
+// is needed. n must be a power of two.
+func hadamard2D(m []int32, n int) {
+	m = m[:n*n]
+	for span := 1; span < len(m); span <<= 1 {
+		for i := 0; i < len(m); i += span << 1 {
+			for j := i; j < i+span; j++ {
+				a, b := m[j], m[j+span]
+				m[j], m[j+span] = a+b, a-b
 			}
-		}
-	}
-}
-
-func transpose(m []int32, n int) {
-	for r := 0; r < n; r++ {
-		for c := r + 1; c < n; c++ {
-			m[r*n+c], m[c*n+r] = m[c*n+r], m[r*n+c]
 		}
 	}
 }
@@ -37,27 +33,24 @@ func transpose(m []int32, n int) {
 // block in place. n must be a power of two in [2, 16].
 func ForwardTransform(block []int32, n int) {
 	checkTransformShape(block, n)
-	hadamardRows(block, n)
-	transpose(block, n)
-	hadamardRows(block, n)
-	transpose(block, n)
+	hadamard2D(block, n)
 }
 
 // InverseTransform inverts ForwardTransform in place, including the N*N
 // normalization, with round-to-nearest so quantized paths stay centred.
+// N*N is a power of two and each sign branch divides a non-negative value,
+// so the shift is the division for every coefficient whose rounding offset
+// does not overflow int32; 8-bit residuals stay far below that.
 func InverseTransform(block []int32, n int) {
 	checkTransformShape(block, n)
-	hadamardRows(block, n)
-	transpose(block, n)
-	hadamardRows(block, n)
-	transpose(block, n)
-	scale := int32(n * n)
-	half := scale / 2
-	for i, v := range block {
+	hadamard2D(block, n)
+	shift := uint(2 * bits.TrailingZeros(uint(n)))
+	half := int32(1) << shift >> 1
+	for i, v := range block[:n*n] {
 		if v >= 0 {
-			block[i] = (v + half) / scale
+			block[i] = (v + half) >> shift
 		} else {
-			block[i] = -((-v + half) / scale)
+			block[i] = -((-v + half) >> shift)
 		}
 	}
 }

@@ -128,7 +128,7 @@ func (f *EncodedFrame) SizeBytes() int { return len(f.Data) }
 type MabWork struct {
 	Type     MabType
 	Bits     int32 // entropy bits parsed for this mab
-	Nonzero  int16 // nonzero coefficients reconstructed (iDCT work)
+	Nonzero  int16 // nonzero coefficients reconstructed (inverse-transform work)
 	RefReads int8  // reference block fetches (0 for I, 1 for P, 2 for B)
 	MV       MotionVector
 	MVB, MVF MotionVector
