@@ -52,7 +52,6 @@ func main() {
 		height   = flag.Int("height", 180, "frame height (multiple of the mab size)")
 		batch    = flag.Int("batch", mach.DefaultBatch, "batch depth for batching schemes")
 		seed     = flag.Int64("seed", 1, "workload generator seed")
-		parallel = flag.Int("parallel", 0, "worker count for the deterministic parallel engine (0/1 = sequential; results are bit-identical at any width)")
 		verbose  = flag.Bool("v", false, "print the full per-run breakdown")
 
 		ckptPath  = flag.String("checkpoint", "", "checkpoint file: written atomically every -checkpoint-every frames and on SIGINT/SIGTERM, removed on success (single-scheme runs only)")
@@ -90,10 +89,6 @@ func main() {
 	}
 
 	cfg := mach.DefaultConfig()
-	if *parallel < 0 || *parallel > 256 {
-		usage("-parallel %d: want a worker count in [0,256]", *parallel)
-	}
-	cfg.Parallel = *parallel
 	if *net != "" {
 		d, err := mach.DeliveryByName(*net)
 		if err != nil {

@@ -37,15 +37,14 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (fig1a, fig2, fig4, fig5, fig6, fig7, fig9, fig10, fig11, fig12, table1, table2, dcc, record, te, replacement, colorspace, contention, delivery, netprofiles, abr, fleet) or 'all'")
-		quick    = flag.Bool("quick", false, "reduced scale")
-		frames   = flag.Int("frames", 0, "override frames per workload")
-		width    = flag.Int("width", 0, "override frame width")
-		height   = flag.Int("height", 0, "override frame height")
-		nvids    = flag.Int("videos", 0, "override number of workloads")
-		workers  = flag.Int("workers", 0, "sweep fan-out width: independent cells of multi-run experiments share a bounded pool (0 = GOMAXPROCS)")
-		parallel = flag.Int("parallel", 0, "per-run deterministic parallel engine width (0/1 = sequential; bit-identical at any width)")
-		ckptDir  = flag.String("checkpoint-dir", "", "directory caching completed experiments; rerunning skips cells already finished at this exact configuration")
+		exp     = flag.String("exp", "all", "experiment id (fig1a, fig2, fig4, fig5, fig6, fig7, fig9, fig10, fig11, fig12, table1, table2, dcc, record, te, replacement, colorspace, contention, delivery, netprofiles, abr, fleet) or 'all'")
+		quick   = flag.Bool("quick", false, "reduced scale")
+		frames  = flag.Int("frames", 0, "override frames per workload")
+		width   = flag.Int("width", 0, "override frame width")
+		height  = flag.Int("height", 0, "override frame height")
+		nvids   = flag.Int("videos", 0, "override number of workloads")
+		workers = flag.Int("workers", 0, "sweep fan-out width: independent cells of multi-run experiments share a bounded pool (0 = GOMAXPROCS)")
+		ckptDir = flag.String("checkpoint-dir", "", "directory caching completed experiments; rerunning skips cells already finished at this exact configuration")
 	)
 	flag.Parse()
 
@@ -57,8 +56,6 @@ func main() {
 	switch {
 	case *workers < 0:
 		usage("-workers %d: want >= 0", *workers)
-	case *parallel < 0 || *parallel > 256:
-		usage("-parallel %d: want a worker count in [0,256]", *parallel)
 	case *frames < 0:
 		usage("-frames %d: want a positive frame count (0 keeps the default)", *frames)
 	case *nvids < 0 || *nvids > len(cfg.Videos):
@@ -67,7 +64,6 @@ func main() {
 		usage("-width/-height %dx%d: want positive multiples of the %d-pixel mab size (0 keeps the default)", *width, *height, mab)
 	}
 	cfg.Workers = *workers
-	cfg.Platform.Parallel = *parallel
 	if *frames > 0 {
 		cfg.Stream.NumFrames = *frames
 	}

@@ -137,16 +137,88 @@ func TestResumeBitIdenticalDelivery(t *testing.T) {
 	}
 }
 
-// TestResumeBitIdenticalParallel proves a run checkpointed under the
-// deterministic parallel engine resumes bit-identically.
+// TestResumeBitIdenticalParallel checkpoints a run on one trace and
+// resumes it on a freshly built copy, while a second session replays that
+// copy in parallel, so the two fill its cold digest tables together; and
+// the reverse, resuming a run checkpointed on the cold copy onto the warm
+// one. The tables are not simulation state, so neither resume nor the
+// parallel session may tell the difference. The ABR case cuts after the
+// first rung switch, so the resumed half fills tables of quant shifts the
+// first half never touched.
 func TestResumeBitIdenticalParallel(t *testing.T) {
-	cfg := testConfig()
-	cfg.Parallel = 3
-	tr := testTrace(t, "V2", goldenFrames)
-	want := canonicalJSON(t, mustRun(t, tr, GAB(DefaultBatch), cfg))
-	got := canonicalJSON(t, runResumed(t, tr, GAB(DefaultBatch), cfg, 6))
-	if !bytes.Equal(got, want) {
-		t.Error("parallel resumed run differs from uninterrupted run")
+	cases := []struct {
+		key     string
+		frames  int
+		cfg     Config
+		cutAt   int
+		coldFst bool // checkpoint on the cold copy, resume on the warm one
+	}{
+		{"V2", goldenFrames, testConfig(), 6, false},
+		{"V2", goldenFrames, testConfig(), 6, true},
+		{"V7", 48, abrConfig("buffer", 4e6, 0), 20, false},
+		{"V7", 48, abrConfig("buffer", 4e6, 0), 20, true},
+	}
+	for _, c := range cases {
+		sc := video.StreamConfig{Width: 160, Height: 96, NumFrames: c.frames, Seed: 5, MabSize: 4, Quant: 8}
+		warm, err := BuildTrace(c.key, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := BuildTrace(c.key, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := canonicalJSON(t, mustRun(t, warm, GAB(DefaultBatch), c.cfg))
+		from, to := warm, cold
+		if c.coldFst {
+			from, to = cold, warm
+		}
+		r1, err := NewRunner(from, GAB(DefaultBatch), c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r1.Frame() < c.cutAt {
+			r1.StepFrame()
+		}
+		payload, err := r1.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := NewRunner(to, GAB(DefaultBatch), c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r2.Fingerprint() != r1.Fingerprint() {
+			t.Fatalf("%s: rebuilt trace changed the run fingerprint", c.key)
+		}
+		if err := r2.Restore(payload); err != nil {
+			t.Fatal(err)
+		}
+		var other *Result
+		var otherErr error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			other, otherErr = Run(to, GAB(DefaultBatch), c.cfg)
+		}()
+		for !r2.Done() {
+			r2.StepFrame()
+		}
+		res, err := r2.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		if otherErr != nil {
+			t.Fatal(otherErr)
+		}
+		name := fmt.Sprintf("%s cut at %d (checkpointed cold: %v)", c.key, c.cutAt, c.coldFst)
+		if got := canonicalJSON(t, res); !bytes.Equal(got, want) {
+			t.Errorf("%s: resumed run differs:\n%s", name, firstDiffLine(want, got))
+		}
+		if got := canonicalJSON(t, other); !bytes.Equal(got, want) {
+			t.Errorf("%s: parallel session differs:\n%s", name, firstDiffLine(want, got))
+		}
 	}
 }
 

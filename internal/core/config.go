@@ -58,15 +58,6 @@ type Config struct {
 	// Region I-IV split and CDF plots; disable for large sweeps to save
 	// memory.
 	CollectFrameSamples bool
-
-	// Parallel is the worker count of the deterministic parallel engine:
-	// values above 1 shard the pure per-mab prehash work (block copy, gab
-	// transform, digest hashing) across that many workers; 0 and 1 both
-	// select the fully sequential path. The knob trades wall clock only —
-	// results are bit-identical for every value (the order-preserving
-	// reduction documented in DESIGN.md, enforced by
-	// TestParallelMatchesSequential), so it is safe to flip on any run.
-	Parallel int
 }
 
 // DefaultConfig returns the Table 2 platform with the calibrated cost
@@ -118,11 +109,5 @@ func (c Config) Validate() error {
 	if c.ABR.Enabled && !c.Delivery.Enabled {
 		return fmt.Errorf("core: ABR needs the delivery model enabled (rungs are chosen at download time)")
 	}
-	if err := c.ABR.Normalize().Validate(); err != nil {
-		return err
-	}
-	if c.Parallel < 0 || c.Parallel > 256 {
-		return fmt.Errorf("core: parallel workers %d outside [0,256]", c.Parallel)
-	}
-	return nil
+	return c.ABR.Normalize().Validate()
 }

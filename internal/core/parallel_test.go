@@ -5,104 +5,114 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
+	"mach/internal/trace"
 	"mach/internal/video"
 )
 
-// TestParallelMatchesSequential is the acceptance test of the deterministic
-// parallel engine: for a sweep of seeds × workloads × worker counts, a run
-// with Config.Parallel = N must be bit-identical to the sequential run —
-// same canonical JSON, same total-energy float64 bits, same rendered
-// report, deep-equal Result structures. The engine only shards the pure
-// per-mab prehash; everything order-sensitive happens in the serial
-// reduction, and this test is what keeps that contract honest.
+// runConcurrently runs every scheme on tr at once, one goroutine each, and
+// returns the results in scheme order.
+func runConcurrently(t *testing.T, tr *trace.Trace, schemes []Scheme, cfg Config) []*Result {
+	t.Helper()
+	res := make([]*Result, len(schemes))
+	errs := make([]error, len(schemes))
+	var wg sync.WaitGroup
+	for i, s := range schemes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i], errs[i] = Run(tr, s, cfg)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("%s: %v", schemes[i].Name, err)
+		}
+	}
+	return res
+}
+
+// sameResult reports how got differs from want, or "" when the two are
+// bit-identical: canonical JSON, total-energy float64 bits, the rendered
+// report, substrate stats and per-frame samples.
+func sameResult(t *testing.T, want, got *Result) string {
+	t.Helper()
+	a, b := canonicalJSON(t, want), canonicalJSON(t, got)
+	switch {
+	case !bytes.Equal(a, b):
+		return "canonical JSON diverged: " + firstDiffLine(a, b)
+	case math.Float64bits(want.TotalEnergy()) != math.Float64bits(got.TotalEnergy()):
+		return "total energy bits differ"
+	case want.String() != got.String():
+		return "rendered reports differ"
+	case !reflect.DeepEqual(want.Mach, got.Mach) || !reflect.DeepEqual(want.Mem, got.Mem):
+		return "substrate stats diverged"
+	case !reflect.DeepEqual(want.FrameTimes, got.FrameTimes):
+		return "per-frame time samples diverged"
+	}
+	return ""
+}
+
+// TestParallelMatchesSequential is the acceptance test of the shared digest
+// table: sessions that first touch one cold trace at the same time must
+// each produce exactly the result of a sequential run, whichever goroutine
+// fills a frame's digests, and a later session on the now-warm table must
+// too. The sessions cover two of the same variant and MAB beside GAB, as
+// Fig 11's fan-out runs them, so `go test -race` sees concurrent fills of
+// one table and of two tables on one trace.
 func TestParallelMatchesSequential(t *testing.T) {
-	seeds := []int64{1, 5, 9}
-	profiles := []string{"V1", "V4", "V8", "V13"}
-	workers := []int{2, 3, 8}
-
-	scheme := GAB(4) // the machinery-heavy scheme: gab hashing + display opt
-	for _, seed := range seeds {
-		for _, key := range profiles {
+	schemes := []Scheme{GAB(4), GAB(4), MAB(4), GAB(DefaultBatch)}
+	for _, seed := range []int64{1, 5, 9} {
+		for _, key := range []string{"V1", "V4", "V8", "V13"} {
 			sc := video.StreamConfig{Width: 160, Height: 96, NumFrames: 16, Seed: seed, MabSize: 4, Quant: 8}
-			tr, err := BuildTrace(key, sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := testConfig()
-			seq := mustRun(t, tr, scheme, cfg)
-			seqJSON, err := seq.CanonicalJSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range workers {
-				pcfg := cfg
-				pcfg.Parallel = w
-				par := mustRun(t, tr, scheme, pcfg)
-
-				if ab, bb := math.Float64bits(seq.TotalEnergy()), math.Float64bits(par.TotalEnergy()); ab != bb {
-					t.Errorf("seed %d %s workers=%d: total energy bits differ: %x vs %x", seed, key, w, ab, bb)
-				}
-				parJSON, err := par.CanonicalJSON()
+			build := func() *trace.Trace {
+				tr, err := BuildTrace(key, sc)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(seqJSON, parJSON) {
-					t.Errorf("seed %d %s workers=%d: canonical JSON diverged:\n%s", seed, key, w, firstDiffLine(seqJSON, parJSON))
+				return tr
+			}
+			cfg := testConfig()
+			seq, cold := build(), build()
+			got := runConcurrently(t, cold, schemes, cfg)
+			for i, s := range schemes {
+				want := mustRun(t, seq, s, cfg)
+				if d := sameResult(t, want, got[i]); d != "" {
+					t.Errorf("seed %d %s %s #%d, cold concurrent: %s", seed, key, s.Name, i, d)
 				}
-				if seq.String() != par.String() {
-					t.Errorf("seed %d %s workers=%d: rendered reports differ", seed, key, w)
-				}
-				if !reflect.DeepEqual(seq.Mach, par.Mach) || !reflect.DeepEqual(seq.Mem, par.Mem) {
-					t.Errorf("seed %d %s workers=%d: substrate stats diverged", seed, key, w)
-				}
-				if !reflect.DeepEqual(seq.FrameTimes, par.FrameTimes) {
-					t.Errorf("seed %d %s workers=%d: per-frame time samples diverged", seed, key, w)
+				if d := sameResult(t, want, mustRun(t, cold, s, cfg)); d != "" {
+					t.Errorf("seed %d %s %s #%d, warm: %s", seed, key, s.Name, i, d)
 				}
 			}
 		}
 	}
 }
 
-// TestParallelAcrossSchemes runs every standard scheme once at 4 workers —
-// the cheaper cross-scheme guard (raw layout, mab mode, no display opt).
+// TestParallelAcrossSchemes runs every standard scheme at once on one cold
+// trace, over a network with buffer ABR so the GAB sessions fill tables of
+// several quant shifts: the raw layout, mab mode and gab mode side by side
+// must match their sequential runs.
 func TestParallelAcrossSchemes(t *testing.T) {
-	tr := testTrace(t, "V2", 16)
-	cfg := testConfig()
-	pcfg := cfg
-	pcfg.Parallel = 4
-	for _, s := range StandardSchemes() {
-		seq := mustRun(t, tr, s, cfg)
-		par := mustRun(t, tr, s, pcfg)
-		a, err := seq.CanonicalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := par.CanonicalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s: parallel run diverged from sequential:\n%s", s.Name, firstDiffLine(a, b))
-		}
+	sc := video.StreamConfig{Width: 160, Height: 96, NumFrames: 48, Seed: 5, MabSize: 4, Quant: 8}
+	seq, err := BuildTrace("V7", sc)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestParallelConfigValidation pins the flag's domain.
-func TestParallelConfigValidation(t *testing.T) {
-	cfg := testConfig()
-	cfg.Parallel = -1
-	if err := cfg.Validate(); err == nil {
-		t.Error("Parallel=-1 validated")
+	cold, err := BuildTrace("V7", sc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cfg.Parallel = 257
-	if err := cfg.Validate(); err == nil {
-		t.Error("Parallel=257 validated")
-	}
-	cfg.Parallel = 256
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("Parallel=256 rejected: %v", err)
+	for _, cfg := range []Config{testConfig(), abrConfig("buffer", 4e6, 0)} {
+		schemes := StandardSchemes()
+		got := runConcurrently(t, cold, schemes, cfg)
+		for i, s := range schemes {
+			if d := sameResult(t, mustRun(t, seq, s, cfg), got[i]); d != "" {
+				t.Errorf("%s (ABR %v): %s", s.Name, cfg.ABR.Enabled, d)
+			}
+		}
 	}
 }
 

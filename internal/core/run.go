@@ -5,9 +5,10 @@ import (
 )
 
 // Run replays one decode trace under one scheme and returns the full
-// measurement. The trace is shared, read-only, across runs: every scheme
-// sees identical content, exactly as the paper replays the same video
-// traces through each configuration.
+// measurement. The trace is shared across runs: every scheme sees identical
+// content, exactly as the paper replays the same video traces through each
+// configuration. Concurrent runs may share a trace; all they write to it is
+// its digest tables, which are safe for concurrent use.
 //
 // Run is the one-shot façade over the step machine in runner.go; long-lived
 // callers that need checkpointing drive a Runner directly.

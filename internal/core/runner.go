@@ -13,7 +13,6 @@ import (
 	"mach/internal/energy"
 	"mach/internal/framebuf"
 	"mach/internal/mach"
-	"mach/internal/par"
 	"mach/internal/power"
 	"mach/internal/sim"
 	"mach/internal/soc"
@@ -160,12 +159,6 @@ func NewRunner(tr *trace.Trace, s Scheme, cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Parallel > 1 {
-		// The pool shards only the pure per-mab prehash; classification
-		// and DRAM op generation stay serial in mab order, so the run is
-		// bit-identical to the sequential path (see DESIGN.md).
-		wb.SetPool(par.New(cfg.Parallel))
-	}
 	r.wb = wb
 
 	dcfg := cfg.Display
@@ -227,6 +220,14 @@ func NewRunner(tr *trace.Trace, s Scheme, cfg Config) (*Runner, error) {
 	// pipeline.
 	if r.avail != nil {
 		r.startup = r.avail[0]
+	}
+
+	// Sessions replaying one trace share its digest tables (DESIGN.md,
+	// "Digest table"): reserve one for every quant shift the session can
+	// apply, so that StepFrame only ever fills them in place.
+	r.wb.ShareDigests(tr, r.wb.QuantShift())
+	for _, rung := range r.rungs {
+		r.wb.ShareDigests(tr, r.ladder[rung].QuantShift)
 	}
 
 	// --- Geometry -------------------------------------------------------

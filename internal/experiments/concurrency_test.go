@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mach/internal/core"
+	"mach/internal/trace"
 	"mach/internal/video"
 )
 
@@ -42,9 +43,39 @@ func TestTraceCacheConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestTraceCacheBuildsOnce releases several callers of one cold key at
+// once: they must all get the same trace, built once, so the sweep cells
+// fanning out over it share its digest tables too.
+func TestTraceCacheBuildsOnce(t *testing.T) {
+	tc := NewTraceCache()
+	sc := video.StreamConfig{Width: 160, Height: 96, NumFrames: 8, Seed: 3, MabSize: 4, Quant: 8}
+	got := make([]*trace.Trace, 4)
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-release
+			tr, err := tc.Get("V2", sc)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = tr
+		}()
+	}
+	close(release)
+	wg.Wait()
+	for i, tr := range got {
+		if tr == nil || tr != got[0] {
+			t.Fatalf("caller %d got trace %p, caller 0 got %p", i, tr, got[0])
+		}
+	}
+}
+
 // TestSchemesConcurrent runs independent pipeline simulations in parallel
-// over a shared, read-only trace: core.Run promises the trace is never
-// mutated, and the race detector holds it to that.
+// over a shared trace: core.Run mutates nothing of it but its digest
+// tables, under their locks, and the race detector holds it to that.
 func TestSchemesConcurrent(t *testing.T) {
 	cfg := Quick()
 	tc := NewTraceCache()

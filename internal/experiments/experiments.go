@@ -33,8 +33,7 @@ type Config struct {
 	// Workers bounds the sweep fan-out: multi-cell experiments run their
 	// independent simulations over a shared pool of this width, with
 	// results placed in index order so tables stay deterministic. 0
-	// selects GOMAXPROCS. This is sweep-level parallelism; the per-run
-	// engine width is Platform.Parallel.
+	// selects GOMAXPROCS.
 	Workers int
 }
 
@@ -60,15 +59,24 @@ func Quick() Config {
 }
 
 // TraceCache memoizes decoded workload traces so the many experiments that
-// share a workload synthesize and decode it once. Safe for concurrent use.
+// share a workload synthesize and decode it once, and share its digest
+// tables. Safe for concurrent use: concurrent callers of one cold key wait
+// for a single build.
 type TraceCache struct {
 	mu     sync.Mutex
-	traces map[string]*trace.Trace
+	traces map[string]*cacheEntry
+}
+
+// cacheEntry is one key's trace; done closes once tr and err are set.
+type cacheEntry struct {
+	done chan struct{}
+	tr   *trace.Trace
+	err  error
 }
 
 // NewTraceCache returns an empty cache.
 func NewTraceCache() *TraceCache {
-	return &TraceCache{traces: make(map[string]*trace.Trace)}
+	return &TraceCache{traces: make(map[string]*cacheEntry)}
 }
 
 func streamKey(profileKey string, sc video.StreamConfig) string {
@@ -76,23 +84,25 @@ func streamKey(profileKey string, sc video.StreamConfig) string {
 }
 
 // Get returns the trace for a workload at the given stream scale, building
-// it on first use.
+// it on first use. A build's error is cached like its trace: builds are
+// deterministic, so a retry would fail the same way.
 func (tc *TraceCache) Get(profileKey string, sc video.StreamConfig) (*trace.Trace, error) {
 	key := streamKey(profileKey, sc)
 	tc.mu.Lock()
-	tr, ok := tc.traces[key]
+	e, ok := tc.traces[key]
+	if !ok {
+		e = &cacheEntry{done: make(chan struct{})}
+		tc.traces[key] = e
+	}
 	tc.mu.Unlock()
 	if ok {
-		return tr, nil
+		<-e.done
+		return e.tr, e.err
 	}
-	tr, err := core.BuildTrace(profileKey, sc)
-	if err != nil {
-		return nil, err
-	}
-	tc.mu.Lock()
-	tc.traces[key] = tr
-	tc.mu.Unlock()
-	return tr, nil
+	defer close(e.done)
+	e.err = fmt.Errorf("experiments: building %s panicked", key) // what waiters see if it does
+	e.tr, e.err = core.BuildTrace(profileKey, sc)
+	return e.tr, e.err
 }
 
 // Drop evicts one workload's trace (memory control in long sweeps).

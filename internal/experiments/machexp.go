@@ -185,7 +185,7 @@ func (r *Runner) Fig11() (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The six schemes replay the same read-only trace independently:
+		// The six schemes replay the same trace independently:
 		// fan them out over the bounded pool. Results land in scheme
 		// order, so normalization and row assembly below stay serial and
 		// deterministic.

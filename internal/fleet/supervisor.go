@@ -28,7 +28,7 @@ var errStalled = errors.New("fleet: shard stalled")
 
 // traceKey identifies one shared decode trace: churn buckets session lengths
 // so at most three lengths exist per profile, and every session of a
-// (profile, length) pair replays the same immutable trace.
+// (profile, length) pair replays the same trace and shares its digest tables.
 type traceKey struct {
 	profile string
 	frames  int
@@ -104,8 +104,9 @@ func NewSupervisor(cfg Config) (*Supervisor, error) {
 // Plans exposes the derived per-session plans (read-only).
 func (s *Supervisor) Plans() []Plan { return s.plans }
 
-// traceFor returns the shared trace a plan replays. Traces are read-only
-// across concurrent runs, exactly like the experiment sweeps.
+// traceFor returns the shared trace a plan replays. Concurrent runs share
+// it, and fill its digest tables together, exactly like the experiment
+// sweeps.
 func (s *Supervisor) traceFor(p Plan) *trace.Trace {
 	return s.traces[traceKey{p.Profile, p.Frames}]
 }

@@ -67,12 +67,14 @@ func (k RecordKind) String() string {
 	}
 }
 
-// MabRecord is the per-mab metadata of layouts (ii) and (iii).
+// MabRecord is the per-mab metadata of layouts (ii) and (iii). In gab mode
+// each record also streams a 3-byte base pixel (§4.3); its bytes are
+// accounted in FrameLayout.MetaBytes, but nothing downstream reads its
+// value, so the record does not carry it.
 type MabRecord struct {
 	Kind   RecordKind
-	Ptr    uint64  // content address (RecFull, RecPointer)
-	Digest uint32  // content digest (RecDigest)
-	Base   [3]byte // gradient base pixel (gab mode only)
+	Ptr    uint64 // content address (RecFull, RecPointer)
+	Digest uint32 // content digest (RecDigest)
 }
 
 // DumpEntry is one element of a frame's frozen-MACH dump: the digest->pointer

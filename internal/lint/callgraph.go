@@ -26,7 +26,7 @@ import (
 //
 // Function literals are first-class nodes. A literal also gets a lexical
 // containment edge from its enclosing function: even when a literal is only
-// passed away (par.Pool.ForShards, sort.Search), its body still runs on
+// passed away (par.Pool.Map, sort.Search), its body still runs on
 // behalf of the caller, so reachability must see it.
 
 // funcNode is one analyzable function: a declared function/method or a

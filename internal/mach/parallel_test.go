@@ -3,11 +3,12 @@ package mach
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"mach/internal/codec"
 	"mach/internal/framebuf"
-	"mach/internal/par"
+	"mach/internal/trace"
 )
 
 // noiseFrame builds a seeded pseudo-random frame: a mix of repeated and
@@ -41,114 +42,143 @@ func frameSequence(w, h, n int, seed int64) []*codec.Frame {
 	return frames
 }
 
-// runClip pushes a clip through a fresh Writeback and returns the stats and
-// every layout produced.
-func runClip(t *testing.T, cfg Config, pool *par.Pool, frames []*codec.Frame) (Stats, []*framebuf.FrameLayout) {
-	t.Helper()
-	wb, err := NewWriteback(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pool != nil {
-		wb.SetPool(pool)
-	}
-	var layouts []*framebuf.FrameLayout
-	for i, fr := range frames {
-		base := framebuf.RegionFrameBuffers + uint64(i%8)*(1<<22)
-		dump := framebuf.RegionMachDumps + uint64(i%8)*(1<<16)
-		layouts = append(layouts, wb.ProcessFrame(fr, i, base, dump, nil))
-	}
-	return wb.Stats(), layouts
+// write is one line write an engine issues to its sink.
+type write struct {
+	addr uint64
+	size int
+	mab  int
 }
 
-// TestPrehashParallelEquivalence is the engine-level half of the
-// determinism guarantee: for every configuration axis that changes what the
-// prehash computes (gab mode, CO-MACH aux, collision tracking, digest
-// function), a pooled Writeback must produce stats, layouts and write
-// streams identical to the sequential engine. 160x96 is 960 mabs, two
-// prehashGrain shards, so every pooled run hashes on two goroutines at once
-// and `go test -race` sees the workers' writes.
-func TestPrehashParallelEquivalence(t *testing.T) {
-	const w, h, n = 160, 96, 6
-	configs := map[string]func() Config{
-		"gab":      DefaultConfig,
-		"mab":      func() Config { c := DefaultConfig(); c.Gradient = false; return c },
-		"comach":   func() Config { c := DefaultConfig(); c.CoMach = true; return c },
-		"shadow":   func() Config { c := DefaultConfig(); c.TrackCollisions = true; return c },
-		"ptr-only": func() Config { c := DefaultConfig(); c.Layout = framebuf.LayoutPtr; return c },
+// clipRun is everything an engine emits over a clip.
+type clipRun struct {
+	stats   Stats
+	layouts []*framebuf.FrameLayout
+	writes  []write
+}
+
+// runClip pushes every frame of tr through wb in decode order.
+func runClip(wb *Writeback, tr *trace.Trace) clipRun {
+	var run clipRun
+	sink := func(addr uint64, size int, mab int) { run.writes = append(run.writes, write{addr, size, mab}) }
+	for i, f := range tr.Frames {
+		dump := framebuf.RegionMachDumps + uint64(i%8)*(1<<16)
+		run.layouts = append(run.layouts, wb.ProcessFrame(f.Decoded, f.DisplayIndex, frameBase(i), dump, sink))
 	}
-	names := []string{"gab", "mab", "comach", "shadow", "ptr-only"}
-	for _, name := range names {
-		cfg := configs[name]()
-		frames := frameSequence(w, h, n, 77)
-		seqStats, seqLayouts := runClip(t, cfg, nil, frames)
-		for _, workers := range []int{2, 3, 8} {
-			parStats, parLayouts := runClip(t, cfg, par.New(workers), frames)
-			if !reflect.DeepEqual(seqStats, parStats) {
-				t.Errorf("%s workers=%d: stats diverged\nseq: %+v\npar: %+v", name, workers, seqStats, parStats)
+	run.stats = wb.Stats()
+	return run
+}
+
+// TestPrehashParallelEquivalence is the engine-level half of the digest
+// table's guarantee: for every configuration axis that changes what the
+// prehash computes, engines reading a shared table must emit stats,
+// layouts and write streams identical to an engine that hashes every frame
+// itself. Two table-fed engines start on one cold table at once, so
+// `go test -race` sees concurrent fills, and a third then reads the warm
+// table. TrackCollisions engines keep hashing per session.
+func TestPrehashParallelEquivalence(t *testing.T) {
+	with := func(f func(*Config)) Config { c := DefaultConfig(); f(&c); return c }
+	cases := []struct {
+		name  string
+		cfg   Config
+		shift int
+	}{
+		{"gab", DefaultConfig(), 0},
+		{"mab", with(func(c *Config) { c.Gradient = false }), 0},
+		{"comach", with(func(c *Config) { c.CoMach = true }), 0},
+		{"shadow", with(func(c *Config) { c.TrackCollisions = true }), 0},
+		{"ptr-only", with(func(c *Config) { c.Layout = framebuf.LayoutPtr }), 0},
+		{"gab-shift3", DefaultConfig(), 3},
+	}
+	frames := frameSequence(160, 96, 6, 77)
+	for _, c := range cases {
+		engine := func(tr *trace.Trace) *Writeback {
+			wb, err := NewWriteback(c.cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(seqLayouts) != len(parLayouts) {
-				t.Fatalf("%s workers=%d: layout count %d vs %d", name, workers, len(parLayouts), len(seqLayouts))
+			wb.SetQuantShift(c.shift)
+			if tr != nil {
+				wb.ShareDigests(tr, c.shift)
 			}
-			for i := range seqLayouts {
-				if !reflect.DeepEqual(seqLayouts[i], parLayouts[i]) {
-					t.Errorf("%s workers=%d: frame %d layout diverged", name, workers, i)
-				}
+			return wb
+		}
+		want := runClip(engine(nil), clipTrace(frames, c.cfg.MabSize))
+		tr := clipTrace(frames, c.cfg.MabSize)
+		a, b := engine(tr), engine(tr)
+		if shared := a.tables[c.shift] != nil; shared == c.cfg.TrackCollisions {
+			t.Fatalf("%s: engine reads a shared table: %v", c.name, shared)
+		}
+		var got [3]clipRun
+		var wg sync.WaitGroup
+		for i, wb := range []*Writeback{a, b} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = runClip(wb, tr)
+			}()
+		}
+		wg.Wait()
+		got[2] = runClip(engine(tr), tr)
+		for i := range got {
+			if !reflect.DeepEqual(want, got[i]) {
+				t.Errorf("%s: table-fed engine %d diverged from the self-hashed one", c.name, i)
 			}
 		}
 	}
 }
 
-// TestParallelWriteStreamIdentical compares the raw sink streams — the
-// exact (addr, size, ordinal) sequence the DRAM model would price.
+// TestParallelWriteStreamIdentical: however many sessions race to fill one
+// cold digest table, each emits the line-write stream of an engine that
+// hashes every frame itself.
 func TestParallelWriteStreamIdentical(t *testing.T) {
-	type write struct {
-		addr uint64
-		size int
-		mab  int
-	}
-	collect := func(pool *par.Pool) []write {
-		wb, err := NewWriteback(DefaultConfig())
+	cfg := DefaultConfig()
+	frames := frameSequence(48, 24, 5, 19)
+	engine := func(tr *trace.Trace) *Writeback {
+		wb, err := NewWriteback(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pool != nil {
-			wb.SetPool(pool)
+		if tr != nil {
+			wb.ShareDigests(tr, 0)
 		}
-		var ws []write
-		frames := frameSequence(48, 24, 5, 19)
-		for i, fr := range frames {
-			wb.ProcessFrame(fr, i, framebuf.RegionFrameBuffers, framebuf.RegionMachDumps,
-				func(addr uint64, size int, mab int) { ws = append(ws, write{addr, size, mab}) })
-		}
-		return ws
+		return wb
 	}
-	seq := collect(nil)
+	seq := runClip(engine(nil), clipTrace(frames, cfg.MabSize)).writes
 	if len(seq) == 0 {
 		t.Fatal("no writes recorded")
 	}
-	for _, workers := range []int{2, 7} {
-		got := collect(par.New(workers))
-		if !reflect.DeepEqual(seq, got) {
-			t.Fatalf("workers=%d: write stream diverged (%d vs %d writes)", workers, len(got), len(seq))
+	for _, sessions := range []int{2, 7} {
+		tr := clipTrace(frames, cfg.MabSize)
+		got := make([][]write, sessions)
+		var wg sync.WaitGroup
+		for i := range got {
+			wb := engine(tr)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = runClip(wb, tr).writes
+			}()
+		}
+		wg.Wait()
+		for i, ws := range got {
+			if !reflect.DeepEqual(seq, ws) {
+				t.Fatalf("sessions=%d: session %d's write stream diverged (%d vs %d writes)", sessions, i, len(ws), len(seq))
+			}
 		}
 	}
 }
 
-// TestSetPoolSingleWorkerInline: a 1-wide pool must not allocate scratch
-// or change behaviour.
-func TestSetPoolSingleWorkerInline(t *testing.T) {
+// TestShareDigestsRejectsForeignMabSize: a table holds one mab size, the
+// trace's own, so an engine of another size must not read it.
+func TestShareDigestsRejectsForeignMabSize(t *testing.T) {
 	wb, err := NewWriteback(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb.SetPool(par.New(1))
-	if wb.scratch != nil {
-		t.Fatal("1-wide pool allocated worker scratch")
-	}
-	fr := frameSequence(16, 16, 1, 3)[0]
-	layout := wb.ProcessFrame(fr, 0, framebuf.RegionFrameBuffers, framebuf.RegionMachDumps, nil)
-	if layout == nil || len(layout.Records) == 0 {
-		t.Fatal("inline pooled engine produced no records")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("4-pixel engine shared a trace of 8-pixel mabs")
+		}
+	}()
+	wb.ShareDigests(clipTrace(frameSequence(32, 16, 1, 1), 8), 0)
 }

@@ -8,7 +8,7 @@ import (
 	"mach/internal/codec"
 	"mach/internal/framebuf"
 	"mach/internal/hashes"
-	"mach/internal/par"
+	"mach/internal/trace"
 )
 
 // Config describes one MACH deployment at the video decoder.
@@ -192,14 +192,16 @@ type Writeback struct {
 	// by the pipeline; persists across frames and is part of State.
 	quantShift int
 
-	// Parallel prehash state: pool shards the pure per-mab digest work,
-	// scratch gives each worker its own block buffers, and pre collects
-	// the per-mab results the serial classification phase consumes.
-	//lint:derived execution configuration installed by SetPool, not simulation state; a restored engine runs sequentially until SetPool is called again
-	pool *par.Pool
-	//lint:derived worker scratch buffers sized by SetPool; contents are per-frame transients
-	scratch []mabScratch
-	//lint:derived per-frame prehash results, fully rewritten by the prehash phase before the classification phase reads them
+	// Shared digest tables, indexed by quant shift, installed by
+	// ShareDigests; a nil entry means the engine hashes frames itself into
+	// pre. fill hashes fillFrame into a table frame on first touch.
+	//lint:derived memo of a pure function of the trace's pixels, installed by ShareDigests; not simulation state, and a restored engine reads the same digests it would have hashed
+	tables [8]*trace.DigestTable
+	//lint:derived table fill callback built once by ShareDigests, so reading a table allocates nothing
+	fill func(digest []uint32, aux []uint16)
+	//lint:derived per-frame fill argument, set just before the table is read
+	fillFrame *codec.Frame
+	// pre holds a self-hashing engine's per-frame prehash results.
 	pre prehash
 
 	// coalescing buffer fill levels and flush cursors
@@ -222,9 +224,9 @@ type Writeback struct {
 	prehashWall time.Duration
 }
 
-// PrehashWall returns the accumulated host wall time of the prehash phase,
-// the portion of the engine's work the pool shards. It is read by the
-// repository benchmark as `mach.prehash_ms` (see benchmark/README.md).
+// PrehashWall returns the accumulated host wall time of the prehash phase:
+// hashing frames, or reading them from a shared digest table. It is read by
+// the repository benchmark as `mach.prehash_ms` (see benchmark/README.md).
 func (w *Writeback) PrehashWall() time.Duration { return w.prehashWall }
 
 // Recycle hands a retired frame layout back to the engine for reuse. The
@@ -238,24 +240,17 @@ func (w *Writeback) Recycle(l *framebuf.FrameLayout) {
 	w.freeLayouts = append(w.freeLayouts, l)
 }
 
-// mabScratch is one worker's private block buffers.
-type mabScratch struct {
-	mab, gab []byte
-}
-
 // prehash holds the per-mab values that are pure functions of the decoded
-// frame: the 32-bit digest, the CO-MACH aux hash, the gab base, and (with
-// TrackCollisions) the md5 content fingerprint. Purity is what makes this
-// phase safe to shard across workers: every slot is written exactly once,
-// by the shard that owns its index, from frame content nobody mutates.
+// frame: the 32-bit digest, the CO-MACH aux hash and (with TrackCollisions)
+// the md5 content fingerprint. Purity is what lets sessions share the
+// digests through a trace's digest table.
 type prehash struct {
 	digest []uint32
 	aux    []uint16
-	base   [][3]byte
 	fp     [][16]byte
 }
 
-func (p *prehash) resize(n int, wantAux, wantBase, wantFP bool) {
+func (p *prehash) resize(n int, wantAux, wantFP bool) {
 	if cap(p.digest) < n {
 		p.digest = make([]uint32, n)
 	}
@@ -266,13 +261,6 @@ func (p *prehash) resize(n int, wantAux, wantBase, wantFP bool) {
 			p.aux = make([]uint16, n)
 		}
 		p.aux = p.aux[:n]
-	}
-	p.base = p.base[:0]
-	if wantBase {
-		if cap(p.base) < n {
-			p.base = make([][3]byte, n)
-		}
-		p.base = p.base[:n]
 	}
 	p.fp = p.fp[:0]
 	if wantFP {
@@ -308,86 +296,64 @@ func NewWriteback(cfg Config) (*Writeback, error) {
 // Config returns the engine configuration.
 func (w *Writeback) Config() Config { return w.cfg }
 
-// SetPool shards the pure per-mab prehash phase (block copy, gab transform,
-// digest and aux hashing, shadow fingerprints) across the pool's workers.
-// Classification, MACH state updates and write accounting stay serial and
-// in mab order — an order-preserving reduction — so the engine's output is
-// bit-identical to the sequential path; only wall clock changes. A nil pool
-// (the default) keeps everything inline on the caller.
-func (w *Writeback) SetPool(p *par.Pool) {
-	w.pool = p
-	w.scratch = nil
-	if p.Workers() > 1 {
-		w.scratch = make([]mabScratch, p.Workers())
-		for i := range w.scratch {
-			w.scratch[i] = mabScratch{
-				mab: make([]byte, w.cfg.MabBytes()),
-				gab: make([]byte, w.cfg.MabBytes()),
-			}
-		}
-	}
-}
-
-// prehashGrain is the number of mabs per shard of the parallel prehash.
-// Shard boundaries are a function of this constant and the frame geometry
-// alone — never of the worker count — so every pool width computes the
-// same values into the same slots (par.Pool.ForShards documents the
-// invariant).
-const prehashGrain = 512
-
-// prehashFrame computes the per-mab digest values for one frame. Each slot
-// of w.pre is a pure function of the frame content, so the work shards
-// freely; the caller consumes the slots strictly in mab order.
-func (w *Writeback) prehashFrame(fr *codec.Frame, numMabs int) {
-	cfg := w.cfg
-	mabsPerRow := fr.MabsPerRow(cfg.MabSize)
-	w.pre.resize(numMabs, cfg.CoMach, cfg.Gradient, w.shadow != nil)
-
-	if w.pool.Workers() <= 1 {
-		for ord := 0; ord < numMabs; ord++ {
-			w.hashOne(fr, mabsPerRow, ord, w.mabBuf, w.gabBuf)
-		}
+// ShareDigests makes ProcessFrame read each frame's digests at quant shift
+// shift from tr's digest table instead of hashing them; every frame it is
+// handed at that shift must then be the frame of tr with that display
+// index. The first engine to reach a frame hashes it into the table, and
+// every later one reads it. Call it for every shift the engine can be set
+// to: the table is reserved now, so ProcessFrame allocates nothing. It is a
+// no-op for the raw layout, which hashes nothing, and with TrackCollisions,
+// whose md5 shadow stays per session. The engine's mab size must be tr's.
+func (w *Writeback) ShareDigests(tr *trace.Trace, shift int) {
+	if w.cfg.Layout == framebuf.LayoutRaw || w.shadow != nil || w.tables[shift] != nil {
 		return
 	}
-	//lint:ignore allocheck the sharded path pays one closure plus the pool's goroutines per frame; the sequential engine, which the 0-allocs StepFrame test measures, takes the inline loop above
-	w.pool.ForShards(numMabs, prehashGrain, func(lo, hi, worker int) {
-		s := &w.scratch[worker]
-		for ord := lo; ord < hi; ord++ {
-			w.hashOne(fr, mabsPerRow, ord, s.mab, s.gab)
-		}
-	})
+	if tr.Params.MabSize != w.cfg.MabSize {
+		panic(fmt.Sprintf("mach: %d-pixel mabs cannot share a trace of %d-pixel mabs", w.cfg.MabSize, tr.Params.MabSize))
+	}
+	w.tables[shift] = tr.Digests(trace.Variant{Gradient: w.cfg.Gradient, Digest: w.cfg.Digest, CoMach: w.cfg.CoMach, QuantShift: shift})
+	w.fill = func(digest []uint32, aux []uint16) { w.hashFrame(w.fillFrame, digest, aux, nil) }
 }
 
-// hashOne fills mab ord's prehash slots: the digest, the CO-MACH aux hash,
-// the gab base, and the optional content fingerprint. It is a pure function
-// of the frame content writing only the ord-owned w.pre slots (plus the
-// caller-owned block buffers), which is what lets prehashFrame shard it.
-func (w *Writeback) hashOne(fr *codec.Frame, mabsPerRow, ord int, mab, gab []byte) {
+// prehashFrame hashes one frame into the engine's own prehash slots.
+func (w *Writeback) prehashFrame(fr *codec.Frame, numMabs int) {
+	w.pre.resize(numMabs, w.cfg.CoMach, w.shadow != nil)
+	w.hashFrame(fr, w.pre.digest, w.pre.aux, w.pre.fp)
+}
+
+// hashFrame fills one slot per mab of fr, in raster order: the digest, the
+// CO-MACH aux hash when the engine runs CO-MACH, and the md5 content
+// fingerprint when fp is non-nil. Every value is a pure function of the
+// frame's pixels, the engine's config and its current quant shift.
+func (w *Writeback) hashFrame(fr *codec.Frame, digest []uint32, aux []uint16, fp [][16]byte) {
 	cfg := w.cfg
 	n := cfg.MabSize
-	x0 := (ord % mabsPerRow) * n
-	y0 := (ord / mabsPerRow) * n
-	fr.CopyBlock(x0, y0, n, mab)
-	if shift := w.quantShift; shift > 0 {
-		// Requantize to the rung's effective sample depth before any
-		// hashing: matching happens on what the coarser encode would
-		// have decoded, not on the full-quality synthesis.
-		mask := byte(0xFF) << shift
-		for i := range mab {
-			mab[i] &= mask
+	mabsPerRow := fr.MabsPerRow(n)
+	mab, gab := w.mabBuf, w.gabBuf
+	var base [3]byte
+	for ord := range digest {
+		fr.CopyBlock((ord%mabsPerRow)*n, (ord/mabsPerRow)*n, n, mab)
+		if shift := w.quantShift; shift > 0 {
+			// Requantize to the rung's effective sample depth before any
+			// hashing: matching happens on what the coarser encode would
+			// have decoded, not on the full-quality synthesis.
+			mask := byte(0xFF) << shift
+			for i := range mab {
+				mab[i] &= mask
+			}
 		}
-	}
-	content := mab
-	if cfg.Gradient {
-		ComputeGab(mab, &w.pre.base[ord], gab)
-		content = gab
-	}
-	w.pre.digest[ord] = hashes.Digest32(cfg.Digest, content)
-	if cfg.CoMach {
-		w.pre.aux[ord] = hashes.CRC16CCITT(content)
-	}
-	if w.shadow != nil {
-		w.pre.fp[ord] = md5.Sum(content)
+		content := mab
+		if cfg.Gradient {
+			ComputeGab(mab, &base, gab)
+			content = gab
+		}
+		digest[ord] = hashes.Digest32(cfg.Digest, content)
+		if cfg.CoMach {
+			aux[ord] = hashes.CRC16CCITT(content)
+		}
+		if fp != nil {
+			fp[ord] = md5.Sum(content)
+		}
 	}
 }
 
@@ -509,12 +475,20 @@ func (w *Writeback) ProcessFrame(fr *codec.Frame, displayIndex int, bufferBase, 
 	var contentOff uint64
 
 	// Phase 1 — prehash: every per-mab value that is a pure function of the
-	// frame content (digest, aux, gab base, shadow fingerprint). This is
-	// the only phase a pool shards; with no pool it runs inline, through
-	// the same code, so the two engines cannot diverge.
+	// frame content (digest, aux, shadow fingerprint), read from the shared
+	// digest table when one is installed for the current quant shift.
 	//lint:ignore determinism host-clock benchmark instrumentation: the measured duration feeds only the PrehashWall accumulator the repository benchmark reads, never any simulated quantity
 	prehashStart := time.Now()
-	w.prehashFrame(fr, numMabs)
+	var digests []uint32
+	var auxes []uint16
+	var fps [][16]byte
+	if tbl := w.tables[w.quantShift]; tbl != nil {
+		w.fillFrame = fr
+		digests, auxes = tbl.Frame(displayIndex, w.fill)
+	} else {
+		w.prehashFrame(fr, numMabs)
+		digests, auxes, fps = w.pre.digest, w.pre.aux, w.pre.fp
+	}
 	w.prehashWall += time.Since(prehashStart)
 
 	// Phase 2 — classification: an order-preserving serial reduction. MACH
@@ -524,21 +498,18 @@ func (w *Writeback) ProcessFrame(fr *codec.Frame, displayIndex int, bufferBase, 
 	w.curMab = 0
 	for ord := 0; ord < numMabs; ord++ {
 		w.stats.Mabs++
-		digest := w.pre.digest[ord]
+		digest := digests[ord]
 		var aux uint16
 		if cfg.CoMach {
-			aux = w.pre.aux[ord]
+			aux = auxes[ord]
 		}
 		var fp [16]byte
 		if w.shadow != nil {
-			fp = w.pre.fp[ord]
+			fp = fps[ord]
 		}
 
 		ptr, origin, kind := w.match(digest, aux, displayIndex)
 		var rec framebuf.MabRecord
-		if cfg.Gradient {
-			rec.Base = w.pre.base[ord]
-		}
 
 		switch kind {
 		case matchNone:

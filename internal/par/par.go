@@ -1,14 +1,11 @@
 // Package par is the deterministic parallel execution substrate: a bounded
-// worker pool whose work division never depends on the worker count, so any
-// pool width produces bit-identical output to the sequential path.
+// worker pool whose output never depends on the worker count, so any pool
+// width produces bit-identical results to the sequential path.
 //
 // The rules that make that true, and that every caller must follow:
 //
-//   - Work is divided into shards whose boundaries are a pure function of
-//     the item count and a fixed grain — never of the number of workers or
-//     of runtime scheduling (ForShards).
 //   - Workers write results only into index-addressed slots they own
-//     (out[i] for item i); no shard ever aggregates into shared state.
+//     (out[i] for item i); no item ever aggregates into shared state.
 //   - Any order-sensitive reduction happens in the caller, serially, in
 //     item order, after the pool has joined.
 //
@@ -52,98 +49,39 @@ func (p *Pool) Workers() int {
 	return p.workers
 }
 
-// ForShards runs fn over every shard of [0,n), distributing shards to
-// workers via an atomic cursor. The shards are ceil(n/grain) contiguous
-// ranges of grain items each (the last may be short). Their boundaries
-// depend only on n and grain, never on the worker count, which is what
-// keeps shard-local computation (hash streaming, scratch reuse)
-// bit-identical whether the shards run on one worker or sixteen.
-//
-// worker is a stable id in [0,Workers()) for per-worker scratch buffers;
-// fn must only write state owned by the shard (index-addressed output
-// slots) or by the worker (scratch). With one worker, or one shard,
-// everything runs inline on the caller.
-//
-// A panic in fn is re-raised on the caller after all workers have joined,
-// so a bug cannot crash the process from an anonymous goroutine.
-func (p *Pool) ForShards(n, grain int, fn func(lo, hi, worker int)) {
-	if grain < 1 {
-		grain = 1
-	}
-	if n <= 0 {
-		return
-	}
-	shards := (n + grain - 1) / grain
-	if p.Workers() == 1 || shards == 1 {
-		for lo := 0; lo < n; lo += grain {
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi, 0)
+// Map runs fn(i) for every i in [0,n) across the pool, recovering panics
+// into errors so one faulted item cannot take down a whole sweep. Workers
+// pull items off an atomic cursor and write only errs[i], so results land
+// in index order and output built from them stays deterministic regardless
+// of goroutine scheduling. With one worker, or one item, everything runs
+// inline on the caller.
+func (p *Pool) Map(n int, fn func(i int) error) []error {
+	errs := make([]error, n)
+	w := min(p.Workers(), n)
+	if w <= 1 {
+		for i := range errs {
+			errs[i] = runIsolated(i, fn)
 		}
-		return
+		return errs
 	}
-	w := p.workers
-	if w > shards {
-		w = shards
-	}
-	// The fan-out below allocates per call (channel, goroutine stacks,
-	// closures) by design: it is the parallel dispatch path, and its cost is
-	// amortized over the shard work it schedules. The sequential engine —
-	// the configuration the 0-allocs StepFrame test in internal/core
-	// measures — takes the inline path above and never reaches it.
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
-		//lint:ignore allocheck one channel per parallel fan-out, amortized over the shard work it collects panics from
-		panics = make(chan any, w)
 	)
-	for id := 0; id < w; id++ {
+	for range w {
 		wg.Add(1)
-		//lint:ignore allocheck worker launch of the parallel dispatch path; the sequential engine takes the inline path above
-		go func(id int) {
+		go func() {
 			defer wg.Done()
-			//lint:ignore allocheck recover trampoline closure, one per worker per fan-out by design
-			defer func() {
-				if r := recover(); r != nil {
-					panics <- r
-				}
-			}()
 			for {
-				s := int(next.Add(1)) - 1
-				if s >= shards {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				lo := s * grain
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				fn(lo, hi, id)
+				errs[i] = runIsolated(i, fn)
 			}
-		}(id)
+		}()
 	}
 	wg.Wait()
-	select {
-	case r := <-panics:
-		panic(r)
-	default:
-	}
-}
-
-// Map runs fn(i) for every i in [0,n) across the pool, recovering panics
-// into errors so one faulted item cannot take down a whole sweep. Results
-// land in index order, so output built from them stays deterministic
-// regardless of goroutine scheduling. This is the bounded successor of the
-// experiment layer's unbounded fan-out.
-func (p *Pool) Map(n int, fn func(i int) error) []error {
-	errs := make([]error, n)
-	p.ForShards(n, 1, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			errs[i] = runIsolated(i, fn)
-		}
-	})
 	return errs
 }
 

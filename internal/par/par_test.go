@@ -3,110 +3,67 @@ package par
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestShardsStableBoundaries pins the shard table ForShards hands out: the
-// (lo,hi) ranges depend only on n and grain, identical at every pool width.
-func TestShardsStableBoundaries(t *testing.T) {
-	type span struct{ lo, hi int }
-	cases := []struct {
-		n, grain int
-		want     []span
-	}{
-		{0, 4, nil},
-		{-3, 4, nil},
-		{1, 4, []span{{0, 1}}},
-		{4, 4, []span{{0, 4}}},
-		{5, 4, []span{{0, 4}, {4, 5}}},
-		{10, 3, []span{{0, 3}, {3, 6}, {6, 9}, {9, 10}}},
-		{3, 0, []span{{0, 1}, {1, 2}, {2, 3}}}, // grain clamps to 1
-	}
-	for _, c := range cases {
-		for _, workers := range []int{1, 3, 8} {
-			var mu sync.Mutex
-			var got []span
-			New(workers).ForShards(c.n, c.grain, func(lo, hi, _ int) {
-				mu.Lock()
-				got = append(got, span{lo, hi})
-				mu.Unlock()
-			})
-			slices.SortFunc(got, func(a, b span) int { return a.lo - b.lo })
-			if !slices.Equal(got, c.want) {
-				t.Fatalf("workers=%d: ForShards(%d,%d) ran shards %v, want %v", workers, c.n, c.grain, got, c.want)
-			}
-		}
-	}
-}
-
-// TestForShardsCoversEveryIndexOnce is the ownership invariant: every item
-// is visited exactly once, whatever the pool width.
+// TestForShardsCoversEveryIndexOnce is the ownership invariant of Map, the
+// pool's one fan-out since it absorbed the range-sharded ForShards: every
+// item is visited exactly once, whatever the pool width.
 func TestForShardsCoversEveryIndexOnce(t *testing.T) {
 	const n = 1000
 	for _, workers := range []int{1, 2, 3, 8, 64} {
-		p := New(workers)
 		visits := make([]int32, n)
-		p.ForShards(n, 7, func(lo, hi, worker int) {
-			if worker < 0 || worker >= p.Workers() {
-				t.Errorf("worker id %d outside [0,%d)", worker, p.Workers())
-			}
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&visits[i], 1)
-			}
+		errs := New(workers).Map(n, func(i int) error {
+			atomic.AddInt32(&visits[i], 1)
+			return nil
 		})
+		if len(errs) != n {
+			t.Fatalf("workers=%d: %d errors, want %d", workers, len(errs), n)
+		}
 		for i, v := range visits {
 			if v != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, v)
 			}
+			if errs[i] != nil {
+				t.Fatalf("workers=%d: errs[%d] = %v", workers, i, errs[i])
+			}
 		}
+	}
+	if errs := New(4).Map(0, func(int) error { return errors.New("ran") }); len(errs) != 0 {
+		t.Fatalf("Map(0) returned %d errors", len(errs))
 	}
 }
 
 // TestForShardsDeterministicOutput checks the contract the simulation relies
-// on: index-slot writes produce identical output for every worker count.
+// on: Map's index-slot writes produce identical output for every worker
+// count.
 func TestForShardsDeterministicOutput(t *testing.T) {
 	const n = 513
-	ref := make([]uint64, n)
-	New(1).ForShards(n, 16, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			ref[i] = uint64(i) * 2654435761
-		}
-	})
-	for _, workers := range []int{2, 5, 16} {
+	fill := func(workers int) []uint64 {
 		out := make([]uint64, n)
-		New(workers).ForShards(n, 16, func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				out[i] = uint64(i) * 2654435761
-			}
+		New(workers).Map(n, func(i int) error {
+			out[i] = uint64(i) * 2654435761
+			return nil
 		})
+		return out
+	}
+	ref := fill(1)
+	for i, v := range ref {
+		if v != uint64(i)*2654435761 {
+			t.Fatalf("workers=1: out[%d]=%d", i, v)
+		}
+	}
+	for _, workers := range []int{2, 5, 16} {
+		out := fill(workers)
 		for i := range out {
 			if out[i] != ref[i] {
 				t.Fatalf("workers=%d: out[%d]=%d, want %d", workers, i, out[i], ref[i])
 			}
 		}
 	}
-}
-
-func TestForShardsPanicPropagates(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("panic did not propagate to the caller")
-		}
-		if s, ok := r.(string); !ok || !strings.Contains(s, "boom") {
-			t.Fatalf("unexpected panic value %v", r)
-		}
-	}()
-	New(4).ForShards(100, 1, func(lo, _, _ int) {
-		if lo == 41 {
-			panic("boom 41")
-		}
-	})
 }
 
 func TestMapIndexOrderAndIsolation(t *testing.T) {
@@ -172,14 +129,10 @@ func TestNilPoolRunsInline(t *testing.T) {
 	if got := p.Workers(); got != 1 {
 		t.Fatalf("nil pool Workers() = %d, want 1", got)
 	}
-	sum := 0
-	p.ForShards(10, 3, func(lo, hi, worker int) {
-		if worker != 0 {
-			t.Errorf("nil pool used worker %d", worker)
-		}
-		for i := lo; i < hi; i++ {
-			sum += i
-		}
+	sum := 0 // unsynchronized: the race detector holds Map to running inline
+	p.Map(10, func(i int) error {
+		sum += i
+		return nil
 	})
 	if sum != 45 {
 		t.Fatalf("sum = %d, want 45", sum)

@@ -8,6 +8,7 @@ package trace
 
 import (
 	"fmt"
+	"sync"
 
 	"mach/internal/codec"
 )
@@ -21,12 +22,17 @@ type Frame struct {
 	Work         *codec.FrameWork
 }
 
-// Trace is a fully decoded workload.
+// Trace is a fully decoded workload. Its frames are read-only once built;
+// sessions replaying it concurrently share only its digest tables, which
+// are safe for concurrent use. A Trace must not be copied.
 type Trace struct {
 	Profile string // workload key, e.g. "V7"
 	FPS     int
 	Params  codec.Params
 	Frames  []Frame // decode order
+
+	digestMu sync.Mutex
+	digests  map[Variant]*DigestTable // one per variant reached; guarded by digestMu
 }
 
 // Build decodes an encoded stream into a trace.

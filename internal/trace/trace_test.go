@@ -2,9 +2,12 @@ package trace
 
 import (
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mach/internal/codec"
+	"mach/internal/hashes"
 	"mach/internal/video"
 )
 
@@ -93,4 +96,46 @@ func TestBuildRejectsCorruptStream(t *testing.T) {
 		t.Fatal("corrupt stream should fail to build")
 	}
 	_ = codec.FrameI
+}
+
+// TestDigestTableFillsOnce drives one digest table from several goroutines
+// at once: every frame is filled exactly once, every caller reads the
+// filled values, and each variant gets a table of its own.
+func TestDigestTableFillsOnce(t *testing.T) {
+	tr := buildTestTrace(t, "V1", 4)
+	mabs := tr.Params.MabsPerFrame()
+	v := Variant{Gradient: true, Digest: hashes.CRC32}
+	co := v
+	co.CoMach = true
+	if tr.Digests(v) != tr.Digests(v) || tr.Digests(v) == tr.Digests(co) {
+		t.Fatal("digest tables are not one per variant")
+	}
+	if _, aux := tr.Digests(v).Frame(0, func(d []uint32, _ []uint16) {}); aux != nil {
+		t.Fatal("a table without CO-MACH carries aux hashes")
+	}
+	fills := make([]atomic.Int32, len(tr.Frames))
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range tr.Frames {
+				digest, aux := tr.Digests(co).Frame(i, func(d []uint32, a []uint16) {
+					fills[i].Add(1)
+					for j := range d {
+						d[j], a[j] = uint32(i*mabs+j), uint16(i+j)
+					}
+				})
+				if len(digest) != mabs || len(aux) != mabs || digest[mabs-1] != uint32(i*mabs+mabs-1) || aux[0] != uint16(i) {
+					t.Errorf("frame %d read %d digests, %d aux hashes, last %d", i, len(digest), len(aux), digest[len(digest)-1])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range fills {
+		if n := fills[i].Load(); n != 1 {
+			t.Errorf("frame %d filled %d times", i, n)
+		}
+	}
 }
