@@ -7,7 +7,10 @@
 // the memory system.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Stats counts cache events.
 type Stats struct {
@@ -29,15 +32,6 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(a)
 }
 
-// MissRate returns 1 - HitRate for a non-empty access stream.
-func (s Stats) MissRate() float64 {
-	a := s.Accesses()
-	if a == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(a)
-}
-
 func (s Stats) String() string {
 	return fmt.Sprintf("acc=%d hit=%.2f%% evict=%d wb=%d", s.Accesses(), 100*s.HitRate(), s.Evictions, s.Writebacks)
 }
@@ -50,14 +44,16 @@ type line struct {
 }
 
 // SetAssoc is an N-way set-associative cache with true-LRU replacement.
+// Line size and set count are powers of two, so a line address splits into
+// set index (low bits) and tag (the rest) by shift and mask.
 type SetAssoc struct {
-	lineSize  uint64
 	sets      int
 	ways      int
 	lines     []line // sets*ways, row-major by set
 	tick      uint64
 	stats     Stats
 	lineShift uint
+	setShift  uint
 }
 
 // NewSetAssoc builds a cache of capacityBytes with the given line size and
@@ -77,16 +73,12 @@ func NewSetAssoc(capacityBytes, lineSize, ways int) *SetAssoc {
 	if lineSize&(lineSize-1) != 0 {
 		panic(fmt.Sprintf("cache: line size %d not a power of two", lineSize))
 	}
-	shift := uint(0)
-	for 1<<shift != lineSize {
-		shift++
-	}
 	return &SetAssoc{
-		lineSize:  uint64(lineSize),
 		sets:      sets,
 		ways:      ways,
 		lines:     make([]line, sets*ways),
-		lineShift: shift,
+		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
+		setShift:  uint(bits.TrailingZeros(uint(sets))),
 	}
 }
 
@@ -95,21 +87,12 @@ func NewDirectMapped(capacityBytes, lineSize int) *SetAssoc {
 	return NewSetAssoc(capacityBytes, lineSize, 1)
 }
 
-// LineSize returns the line size in bytes.
-func (c *SetAssoc) LineSize() int { return int(c.lineSize) }
-
-// CapacityBytes returns the data capacity.
-func (c *SetAssoc) CapacityBytes() int { return c.sets * c.ways * int(c.lineSize) }
-
 // Stats returns the event counters accumulated so far.
 func (c *SetAssoc) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the counters without touching cache contents.
-func (c *SetAssoc) ResetStats() { c.stats = Stats{} }
-
 func (c *SetAssoc) set(addr uint64) (setIdx int, tag uint64) {
 	lineAddr := addr >> c.lineShift
-	return int(lineAddr & uint64(c.sets-1)), lineAddr / uint64(c.sets)
+	return int(lineAddr & uint64(c.sets-1)), lineAddr >> c.setShift
 }
 
 // AccessResult describes the outcome of one cache access.
@@ -119,17 +102,16 @@ type AccessResult struct {
 	WritebackAddr uint64 // line address of the dirty victim (valid if Writeback)
 }
 
-// Access looks up the line containing addr; on a miss the line is filled,
-// evicting the set's LRU way. write marks the line dirty.
+// Access looks up the line containing addr; on a miss the line is filled
+// into the set's first invalid way, else its least recently used one (the
+// first among equals). write marks the line dirty.
 func (c *SetAssoc) Access(addr uint64, write bool) AccessResult {
 	setIdx, tag := c.set(addr)
-	base := setIdx * c.ways
+	set := c.lines[setIdx*c.ways : (setIdx+1)*c.ways]
 	c.tick++
 
-	victim := base
-	for w := 0; w < c.ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == tag {
+	for w := range set {
+		if ln := &set[w]; ln.valid && ln.tag == tag {
 			ln.lru = c.tick
 			if write {
 				ln.dirty = true
@@ -137,67 +119,32 @@ func (c *SetAssoc) Access(addr uint64, write bool) AccessResult {
 			c.stats.Hits++
 			return AccessResult{Hit: true}
 		}
-		if !c.lines[victim].valid {
-			continue // keep first invalid way as victim
+	}
+
+	victim := 0
+	for w := range set {
+		if !set[w].valid {
+			victim = w
+			break
 		}
-		if !ln.valid || ln.lru < c.lines[victim].lru {
-			victim = base + w
+		if set[w].lru < set[victim].lru {
+			victim = w
 		}
 	}
 
 	c.stats.Misses++
 	res := AccessResult{}
-	v := &c.lines[victim]
+	v := &set[victim]
 	if v.valid {
 		c.stats.Evictions++
 		if v.dirty {
 			c.stats.Writebacks++
 			res.Writeback = true
-			res.WritebackAddr = (v.tag*uint64(c.sets) + uint64(setIdx)) << c.lineShift
+			res.WritebackAddr = (v.tag<<c.setShift | uint64(setIdx)) << c.lineShift
 		}
 	}
 	*v = line{tag: tag, valid: true, dirty: write, lru: c.tick}
 	return res
-}
-
-// Probe reports whether addr is resident without touching LRU state or stats.
-func (c *SetAssoc) Probe(addr uint64) bool {
-	setIdx, tag := c.set(addr)
-	base := setIdx * c.ways
-	for w := 0; w < c.ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// Invalidate drops the line containing addr if resident, reporting whether it
-// was dirty.
-func (c *SetAssoc) Invalidate(addr uint64) (wasDirty bool) {
-	setIdx, tag := c.set(addr)
-	base := setIdx * c.ways
-	for w := 0; w < c.ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == tag {
-			wasDirty = ln.dirty
-			*ln = line{}
-			return wasDirty
-		}
-	}
-	return false
-}
-
-// Flush invalidates every line, returning the number of dirty lines dropped.
-func (c *SetAssoc) Flush() (dirty int) {
-	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].dirty {
-			dirty++
-		}
-		c.lines[i] = line{}
-	}
-	return dirty
 }
 
 // LineState is the serializable mirror of one tag-store line, used by the
@@ -246,39 +193,17 @@ func (c *SetAssoc) Restore(st State) error {
 	return nil
 }
 
-// LinesFor returns the distinct line-aligned addresses touched by the byte
-// range [addr, addr+size). This is where request fragmentation (§5) becomes
-// visible: a 48-byte mab fetch that straddles a line boundary produces two
-// memory requests.
-func (c *SetAssoc) LinesFor(addr, size uint64) []uint64 {
-	return LinesFor(addr, size, c.lineSize)
-}
-
-// LinesFor is the package-level helper for splitting a byte range into
-// line-aligned requests.
-func LinesFor(addr, size, lineSize uint64) []uint64 {
-	first, last, n := LineSpan(addr, size, lineSize)
-	if n == 0 {
-		return nil
-	}
-	out := make([]uint64, 0, n)
-	for a := first; a <= last; a += lineSize {
-		out = append(out, a)
-	}
-	return out
-}
-
 // LineSpan returns the first and last line-aligned addresses covered by the
-// byte range [addr, addr+size) plus the line count, without materializing
-// the slice LinesFor builds. Iterating `for a := first; a <= last; a +=
-// lineSize` (guarded by n > 0) visits exactly the addresses LinesFor
-// returns, in the same ascending order; the per-frame read paths use this
-// form so request fragmentation costs no allocation.
+// byte range [addr, addr+size) plus the line count; lineSize is a power of
+// two. Iterating `for a := first; n > 0 && a <= last; a += lineSize` visits
+// every line in ascending order; this is where request fragmentation (§5)
+// becomes visible: a 48-byte mab fetch that straddles a line boundary
+// produces two memory requests.
 func LineSpan(addr, size, lineSize uint64) (first, last uint64, n int) {
 	if size == 0 {
 		return 0, 0, 0
 	}
 	first = addr &^ (lineSize - 1)
 	last = (addr + size - 1) &^ (lineSize - 1)
-	return first, last, int((last-first)/lineSize) + 1
+	return first, last, int((last-first)>>bits.TrailingZeros64(lineSize)) + 1
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -51,18 +52,30 @@ func TestLRUEviction(t *testing.T) {
 	c.Access(128, false)
 	c.Access(0, false)   // touch 0, making 128 the LRU way
 	c.Access(256, false) // evicts 128
-	if !c.Probe(0) {
+	if !resident(c, 0) {
 		t.Fatal("line 0 should survive")
 	}
-	if c.Probe(128) {
+	if resident(c, 128) {
 		t.Fatal("line 128 should be evicted")
 	}
-	if !c.Probe(256) {
+	if !resident(c, 256) {
 		t.Fatal("line 256 should be resident")
 	}
 	if c.Stats().Evictions != 1 {
 		t.Fatalf("evictions = %d", c.Stats().Evictions)
 	}
+}
+
+// resident reports whether addr's line is in the tag store, without
+// touching LRU state or stats.
+func resident(c *SetAssoc, addr uint64) bool {
+	setIdx, tag := c.set(addr)
+	for _, ln := range c.lines[setIdx*c.ways : (setIdx+1)*c.ways] {
+		if ln.valid && ln.tag == tag {
+			return true
+		}
+	}
+	return false
 }
 
 func TestDirtyWriteback(t *testing.T) {
@@ -77,48 +90,6 @@ func TestDirtyWriteback(t *testing.T) {
 	}
 	if c.Stats().Writebacks != 1 {
 		t.Fatalf("writebacks = %d", c.Stats().Writebacks)
-	}
-}
-
-func TestInvalidateAndFlush(t *testing.T) {
-	c := NewDirectMapped(256, 64)
-	c.Access(0, true)
-	c.Access(64, false)
-	if !c.Invalidate(0) {
-		t.Fatal("line 0 was dirty")
-	}
-	if c.Probe(0) {
-		t.Fatal("line 0 still resident")
-	}
-	if c.Invalidate(0) {
-		t.Fatal("double invalidate reported dirty")
-	}
-	c.Access(128, true)
-	if dirty := c.Flush(); dirty != 1 {
-		t.Fatalf("flush dirty = %d", dirty)
-	}
-	if c.Probe(64) || c.Probe(128) {
-		t.Fatal("flush left lines resident")
-	}
-}
-
-func TestProbeDoesNotPerturb(t *testing.T) {
-	c := NewSetAssoc(2*64*2, 64, 2)
-	c.Access(0, false)
-	c.Access(128, false)
-	before := c.Stats()
-	c.Probe(0)
-	c.Probe(999999)
-	if c.Stats() != before {
-		t.Fatal("probe changed stats")
-	}
-	// Probing must not refresh LRU: 0 is still LRU, so inserting a third
-	// line evicts 0 despite the probe.
-	c.Access(128, false) // make 0 LRU
-	c.Probe(0)
-	c.Access(256, false)
-	if c.Probe(0) {
-		t.Fatal("probe refreshed LRU")
 	}
 }
 
@@ -161,15 +132,38 @@ func TestLinesFor(t *testing.T) {
 		{130, 200, []uint64{128, 192, 256, 320}},
 	}
 	for _, c := range cases {
-		got := LinesFor(c.addr, c.size, 64)
-		if len(got) != len(c.want) {
-			t.Errorf("LinesFor(%d,%d) = %v want %v", c.addr, c.size, got, c.want)
-			continue
+		if got := linesFor(c.addr, c.size, 64); !slices.Equal(got, c.want) {
+			t.Errorf("linesFor(%d,%d) = %v want %v", c.addr, c.size, got, c.want)
 		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("LinesFor(%d,%d) = %v want %v", c.addr, c.size, got, c.want)
-				break
+		if got := spanLines(t, c.addr, c.size, 64); !slices.Equal(got, c.want) {
+			t.Errorf("LineSpan(%d,%d) visits %v want %v", c.addr, c.size, got, c.want)
+		}
+	}
+}
+
+// spanLines materializes the lines a LineSpan loop visits and checks
+// LineSpan's count against the visit.
+func spanLines(t *testing.T, addr, size, lineSize uint64) []uint64 {
+	t.Helper()
+	first, last, n := LineSpan(addr, size, lineSize)
+	var out []uint64
+	for a := first; n > 0 && a <= last; a += lineSize {
+		out = append(out, a)
+	}
+	if len(out) != n {
+		t.Fatalf("LineSpan(%#x,%d,%d) counts %d lines, visits %d", addr, size, lineSize, n, len(out))
+	}
+	return out
+}
+
+func TestLineSpanMatchesLinesFor(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, lineSize := range []uint64{16, 32, 64, 128, 256} {
+		for i := 0; i < 2000; i++ {
+			addr := rng.Uint64() >> uint(1+rng.Intn(63)) // below 2^63: no wrap
+			size := uint64(rng.Intn(4 * int(lineSize)))
+			if got, want := spanLines(t, addr, size, lineSize), linesFor(addr, size, lineSize); !slices.Equal(got, want) {
+				t.Fatalf("LineSpan(%#x,%d,%d) visits %v, linesFor %v", addr, size, lineSize, got, want)
 			}
 		}
 	}
@@ -189,7 +183,8 @@ func TestMissRateDropsWithCapacity(t *testing.T) {
 		for _, a := range stream {
 			c.Access(a, false)
 		}
-		mr := c.Stats().MissRate()
+		s := c.Stats()
+		mr := float64(s.Misses) / float64(s.Accesses())
 		if mr > prev+1e-9 {
 			t.Fatalf("miss rate rose with capacity: %v at %dKB (prev %v)", mr, kb, prev)
 		}

@@ -1,0 +1,190 @@
+package cache
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// This file keeps the division forms SetAssoc and LineSpan replaced with
+// shifts and masks, as oracles: refCache is the former tag-store walk (set
+// index and tag by remainder and quotient, one loop that both looks for
+// the hit and picks the victim, the writeback address rebuilt by multiply
+// and add), and linesFor is the former slice-building line splitter.
+
+type refCache struct {
+	lineSize uint64
+	sets     int
+	ways     int
+	lines    []line
+	tick     uint64
+	stats    Stats
+}
+
+func newRefCache(capacityBytes, lineSize, ways int) *refCache {
+	sets := capacityBytes / (lineSize * ways)
+	return &refCache{lineSize: uint64(lineSize), sets: sets, ways: ways, lines: make([]line, sets*ways)}
+}
+
+func (c *refCache) set(addr uint64) (setIdx int, tag uint64) {
+	lineAddr := addr / c.lineSize
+	return int(lineAddr % uint64(c.sets)), lineAddr / uint64(c.sets)
+}
+
+func (c *refCache) Access(addr uint64, write bool) AccessResult {
+	setIdx, tag := c.set(addr)
+	base := setIdx * c.ways
+	c.tick++
+
+	victim := base
+	for w := 0; w < c.ways; w++ {
+		ln := &c.lines[base+w]
+		if ln.valid && ln.tag == tag {
+			ln.lru = c.tick
+			if write {
+				ln.dirty = true
+			}
+			c.stats.Hits++
+			return AccessResult{Hit: true}
+		}
+		if !c.lines[victim].valid {
+			continue // keep first invalid way as victim
+		}
+		if !ln.valid || ln.lru < c.lines[victim].lru {
+			victim = base + w
+		}
+	}
+
+	c.stats.Misses++
+	res := AccessResult{}
+	v := &c.lines[victim]
+	if v.valid {
+		c.stats.Evictions++
+		if v.dirty {
+			c.stats.Writebacks++
+			res.Writeback = true
+			res.WritebackAddr = (v.tag*uint64(c.sets) + uint64(setIdx)) * c.lineSize
+		}
+	}
+	*v = line{tag: tag, valid: true, dirty: write, lru: c.tick}
+	return res
+}
+
+func (c *refCache) snapshot() State {
+	st := State{Lines: make([]LineState, len(c.lines)), Tick: c.tick, Stats: c.stats}
+	for i, ln := range c.lines {
+		st.Lines[i] = LineState{Tag: ln.tag, Valid: ln.valid, Dirty: ln.dirty, LRU: ln.lru}
+	}
+	return st
+}
+
+func (c *refCache) restore(st State) {
+	for i, ln := range st.Lines {
+		c.lines[i] = line{tag: ln.Tag, valid: ln.Valid, dirty: ln.Dirty, lru: ln.LRU}
+	}
+	c.tick, c.stats = st.Tick, st.Stats
+}
+
+// linesFor returns the distinct line-aligned addresses touched by the byte
+// range [addr, addr+size).
+func linesFor(addr, size, lineSize uint64) []uint64 {
+	if size == 0 {
+		return nil
+	}
+	first := addr / lineSize * lineSize
+	last := (addr + size - 1) / lineSize * lineSize
+	out := make([]uint64, 0, (last-first)/lineSize+1)
+	for a := first; a <= last; a += lineSize {
+		out = append(out, a)
+	}
+	return out
+}
+
+// cacheShapes are the geometries the simulator builds: the 32 KB 4-way
+// decode cache and its Fig 7a sweep, and the 16 KB direct-mapped display
+// cache and its Fig 10c sweep, all over 64 B lines; plus a few other line
+// sizes and associativities.
+func cacheShapes() [][3]int {
+	shapes := [][3]int{{32 << 10, 64, 4}, {16 << 10, 64, 1}, {4096, 32, 2}, {8192, 128, 8}, {1024, 64, 16}}
+	for _, kb := range []int{16, 32, 64, 128, 256} { // Fig 7a
+		shapes = append(shapes, [3]int{kb << 10, 64, 4})
+	}
+	for _, kb := range []int{1, 2, 4, 8, 16, 32, 64, 128} { // Fig 10c
+		shapes = append(shapes, [3]int{kb << 10, 64, 1})
+	}
+	return shapes
+}
+
+// stream draws addresses that hit, conflict and evict: most from a hot
+// region half the capacity, some from a region four times it, a few from
+// anywhere below 2^48.
+func stream(rng *rand.Rand, capacity int, n int) (addrs []uint64, writes []bool) {
+	for i := 0; i < n; i++ {
+		var a uint64
+		switch r := rng.Intn(10); {
+		case r < 6:
+			a = uint64(rng.Intn(capacity / 2))
+		case r < 9:
+			a = uint64(rng.Intn(4 * capacity))
+		default:
+			a = rng.Uint64() >> 16
+		}
+		addrs = append(addrs, a)
+		writes = append(writes, rng.Intn(10) < 3)
+	}
+	return addrs, writes
+}
+
+func checkAgainstReference(t *testing.T, c *SetAssoc, ref *refCache, addrs []uint64, writes []bool) {
+	t.Helper()
+	for i, a := range addrs {
+		got, want := c.Access(a, writes[i]), ref.Access(a, writes[i])
+		if got != want {
+			t.Fatalf("access %d (%#x write=%v): got %+v want %+v", i, a, writes[i], got, want)
+		}
+	}
+	if got, want := c.Stats(), ref.stats; got != want {
+		t.Fatalf("stats %+v want %+v", got, want)
+	}
+	if got, want := c.Snapshot(), ref.snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatal("tag store differs from the reference")
+	}
+}
+
+func TestAccessMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, sh := range cacheShapes() {
+		c, ref := NewSetAssoc(sh[0], sh[1], sh[2]), newRefCache(sh[0], sh[1], sh[2])
+		addrs, writes := stream(rng, sh[0], 20000)
+		checkAgainstReference(t, c, ref, addrs, writes)
+	}
+}
+
+// TestVictimMatchesReferenceFromRestoredState starts both caches from
+// restored tag stores with invalid ways between valid ones and tied LRU
+// stamps, states a cold stream never reaches but an untrusted checkpoint
+// can carry: the victim must still be the first invalid way, else the
+// first least recently used one.
+func TestVictimMatchesReferenceFromRestoredState(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, sh := range cacheShapes() {
+		c, ref := NewSetAssoc(sh[0], sh[1], sh[2]), newRefCache(sh[0], sh[1], sh[2])
+		for round := 0; round < 4; round++ {
+			st := c.Snapshot()
+			for i := range st.Lines {
+				st.Lines[i] = LineState{
+					Tag:   uint64(rng.Intn(8)),
+					Valid: rng.Intn(4) != 0,
+					Dirty: rng.Intn(2) == 0,
+					LRU:   uint64(rng.Intn(3)),
+				}
+			}
+			if err := c.Restore(st); err != nil {
+				t.Fatal(err)
+			}
+			ref.restore(st)
+			addrs, writes := stream(rng, sh[0], 2000)
+			checkAgainstReference(t, c, ref, addrs, writes)
+		}
+	}
+}

@@ -13,6 +13,7 @@ package decoder
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mach/internal/cache"
 	"mach/internal/codec"
@@ -281,16 +282,20 @@ func (ip *IP) cachedRead(now sim.Time, addr uint64) sim.Time {
 // refMabAddrs collects the line addresses the decoder touches to fetch the
 // reference block for a mab at (mabX, mabY) displaced by mv: the layout
 // metadata line(s) plus the content line(s) of every overlapped source mab.
+// The mab size is a power of two (codec.Params.Validate), so the source mab
+// of a pixel is its coordinate shifted right by mabShift; the arithmetic
+// shift floors negative coordinates past the frame's top or left edge.
 // The addresses land in ip.metaScratch/ip.contentScratch (reset here, valid
 // until the next call), so the per-mab fetch path allocates nothing once the
 // scratch has grown to the worst-case overlap.
-func (ip *IP) refMabAddrs(l *framebuf.FrameLayout, mabX, mabY int, mv codec.MotionVector, mabSize, mabsPerRow, mabsPerCol int) (meta []uint64, content []uint64) {
+func (ip *IP) refMabAddrs(l *framebuf.FrameLayout, mabX, mabY int, mv codec.MotionVector, mabShift uint, mabsPerRow, mabsPerCol int) (meta []uint64, content []uint64) {
 	meta = ip.metaScratch[:0]
 	content = ip.contentScratch[:0]
-	x0 := mabX*mabSize + int(mv.DX)
-	y0 := mabY*mabSize + int(mv.DY)
-	firstMX, lastMX := floorDiv(x0, mabSize), floorDiv(x0+mabSize-1, mabSize)
-	firstMY, lastMY := floorDiv(y0, mabSize), floorDiv(y0+mabSize-1, mabSize)
+	mabSize := 1 << mabShift
+	x0 := mabX<<mabShift + int(mv.DX)
+	y0 := mabY<<mabShift + int(mv.DY)
+	firstMX, lastMX := x0>>mabShift, (x0+mabSize-1)>>mabShift
+	firstMY, lastMY := y0>>mabShift, (y0+mabSize-1)>>mabShift
 	for my := firstMY; my <= lastMY; my++ {
 		cy := clampInt(my, 0, mabsPerCol-1)
 		for mx := firstMX; mx <= lastMX; mx++ {
@@ -308,7 +313,7 @@ func (ip *IP) refMabAddrs(l *framebuf.FrameLayout, mabX, mabY int, mv codec.Moti
 					// no memory access for the resolution itself, but the
 					// content still has to be fetched from wherever the
 					// matched copy lives.
-					ptr = resolveDump(l, rec.Digest)
+					ptr = l.ResolveDump(rec.Digest)
 				}
 				content = append(content, ptr)
 			}
@@ -322,15 +327,16 @@ func (ip *IP) refMabAddrs(l *framebuf.FrameLayout, mabX, mabY int, mv codec.Moti
 // the decode cache, returning the stall time added to the pipeline. It
 // preserves the access order of the original slice-building path: all
 // metadata lines first, then every content line in mab-walk order.
-func (ip *IP) fetchRef(cur sim.Time, l *framebuf.FrameLayout, mabX, mabY int, mv codec.MotionVector, mabSize, mabsPerRow, mabsPerCol int) (stall sim.Time) {
+func (ip *IP) fetchRef(cur sim.Time, l *framebuf.FrameLayout, mabX, mabY int, mv codec.MotionVector, mabShift uint, mabsPerRow, mabsPerCol int) (stall sim.Time) {
 	if l == nil {
 		return 0
 	}
-	meta, content := ip.refMabAddrs(l, mabX, mabY, mv, mabSize, mabsPerRow, mabsPerCol)
+	meta, content := ip.refMabAddrs(l, mabX, mabY, mv, mabShift, mabsPerRow, mabsPerCol)
 	for _, a := range meta {
 		ip.stats.MetaReads++
 		stall += ip.cachedRead(cur, a)
 	}
+	mabSize := 1 << mabShift
 	blockBytes := uint64(mabSize * mabSize * codec.BytesPerPixel)
 	lineBytes := uint64(ip.cfg.LineBytes)
 	for _, a := range content {
@@ -345,29 +351,6 @@ func (ip *IP) fetchRef(cur sim.Time, l *framebuf.FrameLayout, mabX, mabY int, mv
 		}
 	}
 	return stall
-}
-
-// resolveDump finds the pointer for a digest in the frame's dump; entries
-// are guaranteed present because a RecDigest was produced from a frozen
-// MACH whose dump is retained with the layout.
-func resolveDump(l *framebuf.FrameLayout, digest uint32) uint64 {
-	for _, e := range l.Dump {
-		if e.Digest == digest {
-			return e.Ptr
-		}
-	}
-	// Inter matches always point at an earlier frame; its dump entry may
-	// have been produced by that earlier frame. Fall back to the buffer
-	// base: the timing error is one line's worth of locality.
-	return l.BufferBase
-}
-
-func floorDiv(a, b int) int {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
 }
 
 func clampInt(v, lo, hi int) int {
@@ -465,11 +448,11 @@ func (ip *IP) DecodeFrame(
 	}
 	mabDone := ip.mabDone[:len(work.Mabs)+1]
 	mabDone[0] = 0
+	mabShift := uint(bits.TrailingZeros(uint(mabSize)))
+	mabX, mabY := 0, 0 // raster position of mab i
 	for i := range work.Mabs {
 		mw := &work.Mabs[i]
 		ip.stats.Mabs++
-		mabX := i % mabsPerRow
-		mabY := i / mabsPerRow
 
 		c := cfg.CyclesPerMabBase +
 			sim.Cycles(cfg.CyclesPerBit*float64(mw.Bits)) +
@@ -487,7 +470,8 @@ func (ip *IP) DecodeFrame(
 			c = sim.Cycles(float64(c) * workScale)
 		}
 		cycles += c
-		cur = now + freq.Cycles(cycles) + stall
+		compute := freq.Cycles(cycles)
+		cur = now + compute + stall
 
 		// Post bitstream line reads proportionally to bits consumed.
 		bitsSeen += int64(mw.Bits)
@@ -500,12 +484,15 @@ func (ip *IP) DecodeFrame(
 		// Blocking reference fetches through the decode cache.
 		switch mw.Type {
 		case codec.MabP:
-			stall += ip.fetchRef(cur, backRef, mabX, mabY, mw.MV, mabSize, mabsPerRow, mabsPerCol)
+			stall += ip.fetchRef(cur, backRef, mabX, mabY, mw.MV, mabShift, mabsPerRow, mabsPerCol)
 		case codec.MabB:
-			stall += ip.fetchRef(cur, bRef, mabX, mabY, mw.MVB, mabSize, mabsPerRow, mabsPerCol)
-			stall += ip.fetchRef(cur, fwdRef, mabX, mabY, mw.MVF, mabSize, mabsPerRow, mabsPerCol)
+			stall += ip.fetchRef(cur, bRef, mabX, mabY, mw.MVB, mabShift, mabsPerRow, mabsPerCol)
+			stall += ip.fetchRef(cur, fwdRef, mabX, mabY, mw.MVF, mabShift, mabsPerRow, mabsPerCol)
 		}
-		mabDone[i+1] = freq.Cycles(cycles) + stall
+		mabDone[i+1] = compute + stall
+		if mabX++; mabX == mabsPerRow {
+			mabX, mabY = 0, mabY+1
+		}
 	}
 
 	busy := freq.Cycles(cycles) + stall

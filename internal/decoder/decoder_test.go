@@ -204,17 +204,6 @@ func TestWritebackPostsLines(t *testing.T) {
 	}
 }
 
-func TestFloorDiv(t *testing.T) {
-	cases := []struct{ a, b, want int }{
-		{7, 4, 1}, {-1, 4, -1}, {-4, 4, -1}, {-5, 4, -2}, {0, 4, 0},
-	}
-	for _, c := range cases {
-		if got := floorDiv(c.a, c.b); got != c.want {
-			t.Errorf("floorDiv(%d,%d) = %d want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestBitstreamReadsPosted(t *testing.T) {
 	mem := testMem()
 	ip := New(DefaultConfig(), mem)

@@ -315,21 +315,29 @@ func (c *Controller) ScanOut(start sim.Time, l *framebuf.FrameLayout) int64 {
 	// as real display pipes do; pacing is at burst granularity.
 	const burstLines = 4
 
+	// Every read of a group is paced at the group's first read, so the
+	// pacing time is computed once per group.
 	switch l.Kind {
 	case framebuf.LayoutRaw:
 		frameBytes := uint64(len(l.Records) * l.MabBytes)
 		total := int64((frameBytes + lineBytes - 1) / lineBytes)
-		for i := int64(0); i < total; i++ {
-			at := start + sim.Time(int64(period)*(i/burstLines*burstLines)/max(total, 1))
-			c.readLine(at, l.BufferBase+uint64(i)*lineBytes, false)
+		for g := int64(0); g < total; g += burstLines {
+			at := start + sim.Time(int64(period)*g/total)
+			for i := g; i < min(g+burstLines, total); i++ {
+				c.readLine(at, l.BufferBase+uint64(i)*lineBytes, false)
+			}
 		}
 	default:
 		// Pointer layouts fetch through a deeper FIFO: 256-record groups,
 		// so the dedup-scattered content reads of one group land together
 		// and share row activations.
+		const groupRecords = 256
 		n := len(l.Records)
+		var at sim.Time
 		for i, rec := range l.Records {
-			at := start + sim.Time(int64(period)*int64(i/256*256)/int64(max(n, 1)))
+			if i%groupRecords == 0 {
+				at = start + sim.Time(int64(period)*int64(i)/int64(n))
+			}
 			// Metadata stream: the pointer/digest array is sequential, so
 			// one line covers 16 records; the display cache makes the
 			// repeats free.
@@ -348,7 +356,7 @@ func (c *Controller) ScanOut(start sim.Time, l *framebuf.FrameLayout) int64 {
 				// Fallback: re-read the dump to find the pointer, then
 				// fetch the content.
 				c.readLine(at, l.DumpBase, false)
-				ptr := resolveDump(l, rec.Digest)
+				ptr := l.ResolveDump(rec.Digest)
 				c.readContent(at, ptr, l.MabBytes)
 			default:
 				c.stats.PointerRecords++
@@ -360,10 +368,12 @@ func (c *Controller) ScanOut(start sim.Time, l *framebuf.FrameLayout) int64 {
 			baseStart := l.MetaBase + uint64(len(l.Records)*4)
 			baseBytes := uint64(len(l.Records) * 3)
 			group := 16 * lineBytes
-			for off := uint64(0); off < baseBytes; off += lineBytes {
-				at := start + sim.Time(int64(period)*int64(off/group*group)/int64(max(baseBytes, 1)))
-				if c.readLine(at, (baseStart+off)&^(lineBytes-1), false) {
-					c.stats.MetaLineReads++
+			for g := uint64(0); g < baseBytes; g += group {
+				at := start + sim.Time(int64(period)*int64(g)/int64(baseBytes))
+				for off := g; off < min(g+group, baseBytes); off += lineBytes {
+					if c.readLine(at, (baseStart+off)&^(lineBytes-1), false) {
+						c.stats.MetaLineReads++
+					}
 				}
 			}
 		}
@@ -399,13 +409,4 @@ func (c *Controller) RepeatFrame(start sim.Time, prev *framebuf.FrameLayout) {
 	} else {
 		c.stats.ActiveEnergy += c.cfg.Power.Over(c.cfg.FramePeriod())
 	}
-}
-
-func resolveDump(l *framebuf.FrameLayout, digest uint32) uint64 {
-	for _, e := range l.Dump {
-		if e.Digest == digest {
-			return e.Ptr
-		}
-	}
-	return l.BufferBase
 }

@@ -15,6 +15,7 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mach/internal/energy"
 	"mach/internal/power"
@@ -104,22 +105,30 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports a descriptive error for malformed configurations.
+// Validate reports a descriptive error for malformed configurations. Every
+// address field is a power of two, so routing is exact shifts and masks.
 func (c Config) Validate() error {
 	switch {
 	case c.Channels <= 0 || c.RanksPerChannel <= 0 || c.BanksPerRank <= 0:
 		return fmt.Errorf("dram: non-positive topology %d/%d/%d", c.Channels, c.RanksPerChannel, c.BanksPerRank)
 	case c.RowBytes == 0 || c.LineBytes == 0 || c.RowBytes%c.LineBytes != 0:
 		return fmt.Errorf("dram: row %dB not a multiple of line %dB", c.RowBytes, c.LineBytes)
-	case c.LineBytes&(c.LineBytes-1) != 0:
+	case !pow2(uint64(c.LineBytes)):
 		return fmt.Errorf("dram: line size %d not a power of two", c.LineBytes)
-	case c.Channels&(c.Channels-1) != 0:
-		return fmt.Errorf("dram: channel count %d not a power of two", c.Channels)
+	case !pow2(uint64(c.RowBytes / c.LineBytes)):
+		return fmt.Errorf("dram: %d lines per row not a power of two", c.RowBytes/c.LineBytes)
+	case !pow2(uint64(c.Channels)) || !pow2(uint64(c.RanksPerChannel)) || !pow2(uint64(c.BanksPerRank)):
+		return fmt.Errorf("dram: topology %d/%d/%d not powers of two", c.Channels, c.RanksPerChannel, c.BanksPerRank)
 	case c.TRCD <= 0 || c.TRP <= 0 || c.TCL <= 0 || c.TBurst <= 0:
 		return fmt.Errorf("dram: non-positive timing")
 	}
 	return nil
 }
+
+func pow2(v uint64) bool { return v&(v-1) == 0 }
+
+// log2 returns the exponent of a power of two.
+func log2(v uint64) uint { return uint(bits.TrailingZeros64(v)) }
 
 // Stats aggregates command and event counts.
 type Stats struct {
@@ -174,9 +183,16 @@ type Memory struct {
 
 	bgFrom sim.Time // background energy accounted up to here
 
-	linesPerRow uint64
-	rowsPerBank uint64
+	// Address fields (see route): the channel, bank-and-rank and row of an
+	// address are (addr >> shift) & mask.
+	chShift, bankShift, rowShift uint
+	chMask, bankMask             uint64
+	bankBits                     uint // width of the bank-and-rank field
 }
+
+// rowMask wraps row numbers at 2^20 rows per bank: plenty for any frame
+// buffer, and a wrap only aliases rows, never banks.
+const rowMask = 1<<20 - 1
 
 // New constructs a memory pool; it panics on invalid configuration (a
 // construction-time programming error, matching the cache package).
@@ -185,11 +201,27 @@ func New(cfg Config) *Memory {
 		panic(err)
 	}
 	n := cfg.Channels * cfg.RanksPerChannel * cfg.BanksPerRank
+	lineBits := log2(uint64(cfg.LineBytes))
+	chBits := log2(uint64(cfg.Channels))
+	colBits := log2(uint64(cfg.RowBytes / cfg.LineBytes))
+	bankBits := log2(uint64(cfg.RanksPerChannel * cfg.BanksPerRank))
 	m := &Memory{
-		cfg:         cfg,
-		banks:       make([]bank, n),
-		linesPerRow: uint64(cfg.RowBytes / cfg.LineBytes),
-		rowsPerBank: 1 << 20, // plenty; rows wrap by masking
+		cfg:      cfg,
+		banks:    make([]bank, n),
+		chShift:  lineBits,
+		chMask:   uint64(cfg.Channels - 1),
+		bankMask: uint64(cfg.RanksPerChannel*cfg.BanksPerRank - 1),
+		bankBits: bankBits,
+	}
+	// Fields from the least significant bit up: line offset, channel, then
+	// column and bank-and-rank in the mapping's order, then row.
+	switch cfg.Mapping {
+	case RoCoRaBaCh:
+		m.bankShift = lineBits + chBits
+		m.rowShift = m.bankShift + bankBits + colBits
+	default: // RoRaBaCoCh
+		m.bankShift = lineBits + chBits + colBits
+		m.rowShift = m.bankShift + bankBits
 	}
 	for i := range m.banks {
 		m.banks[i].openRow = -1
@@ -229,30 +261,13 @@ func (a AddressMapping) String() string {
 	}
 }
 
-// route decomposes a physical address under the configured mapping.
+// route decomposes a physical address under the configured mapping. Bank
+// and rank are adjacent fields under both mappings, so rank*banks+bank is
+// one masked field, and the bank index is the channel above it.
 func (m *Memory) route(addr uint64) (bankIdx int, row int64) {
-	line := addr / uint64(m.cfg.LineBytes)
-	ch := line % uint64(m.cfg.Channels)
-	line /= uint64(m.cfg.Channels)
-	var bk, rk uint64
-	switch m.cfg.Mapping {
-	case RoCoRaBaCh:
-		bk = line % uint64(m.cfg.BanksPerRank)
-		line /= uint64(m.cfg.BanksPerRank)
-		rk = line % uint64(m.cfg.RanksPerChannel)
-		line /= uint64(m.cfg.RanksPerChannel)
-		line /= m.linesPerRow // drop column bits
-	default: // RoRaBaCoCh
-		line /= m.linesPerRow // drop column bits
-		bk = line % uint64(m.cfg.BanksPerRank)
-		line /= uint64(m.cfg.BanksPerRank)
-		rk = line % uint64(m.cfg.RanksPerChannel)
-		line /= uint64(m.cfg.RanksPerChannel)
-	}
-	row = int64(line % m.rowsPerBank)
-	bankIdx = int(ch)*m.cfg.RanksPerChannel*m.cfg.BanksPerRank +
-		int(rk)*m.cfg.BanksPerRank + int(bk)
-	return bankIdx, row
+	ch := (addr >> m.chShift) & m.chMask
+	bank := (addr >> m.bankShift) & m.bankMask
+	return int(ch<<m.bankBits | bank), int64((addr >> m.rowShift) & rowMask)
 }
 
 // Access performs one line transaction at virtual time now and returns the
@@ -330,27 +345,6 @@ func (m *Memory) Access(now sim.Time, addr uint64, write bool) sim.Time {
 	return done
 }
 
-// AccessRange issues one transaction per line overlapped by [addr, addr+size)
-// and returns the completion time of the last one along with the number of
-// line transactions issued.
-func (m *Memory) AccessRange(now sim.Time, addr, size uint64, write bool) (done sim.Time, lines int) {
-	if size == 0 {
-		return now, 0
-	}
-	lineBytes := uint64(m.cfg.LineBytes)
-	first := addr &^ (lineBytes - 1)
-	last := (addr + size - 1) &^ (lineBytes - 1)
-	done = now
-	for a := first; a <= last; a += lineBytes {
-		d := m.Access(now, a, write)
-		if d > done {
-			done = d
-		}
-		lines++
-	}
-	return done, lines
-}
-
 // AccrueBackground charges background power up to time now. Callers invoke it
 // once at the end of a simulation (or periodically; charging is idempotent
 // over disjoint intervals).
@@ -410,12 +404,4 @@ func (m *Memory) Restore(st State) error {
 	m.energy = st.Energy
 	m.bgFrom = st.BgFrom
 	return nil
-}
-
-// ResetStats clears counters and energy but keeps bank state, so steady-state
-// measurement windows can exclude warm-up.
-func (m *Memory) ResetStats(now sim.Time) {
-	m.stats = Stats{}
-	m.energy = Energy{}
-	m.bgFrom = now
 }

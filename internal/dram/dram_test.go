@@ -1,8 +1,10 @@
 package dram
 
 import (
+	"reflect"
 	"testing"
 
+	"mach/internal/cache"
 	"mach/internal/sim"
 )
 
@@ -37,6 +39,23 @@ func TestValidate(t *testing.T) {
 	bad.TCL = 0
 	if bad.Validate() == nil {
 		t.Fatal("zero timing should be rejected")
+	}
+	// Routing is shifts and masks, so every address field is a power of
+	// two.
+	bad = good
+	bad.BanksPerRank = 6
+	if bad.Validate() == nil {
+		t.Fatal("6 banks per rank should be rejected")
+	}
+	bad = good
+	bad.RanksPerChannel = 3
+	if bad.Validate() == nil {
+		t.Fatal("3 ranks per channel should be rejected")
+	}
+	bad = good
+	bad.RowBytes = 192
+	if bad.Validate() == nil {
+		t.Fatal("3 lines per row should be rejected")
 	}
 }
 
@@ -151,20 +170,22 @@ func TestDensePacketsBeatSparse(t *testing.T) {
 }
 
 func TestAccessRangeFragmentation(t *testing.T) {
-	m := New(cfgNoTimeout())
 	// A 48-byte mab aligned at 32 straddles two 64B lines (§5's
-	// fragmentation case).
-	_, lines := m.AccessRange(0, 32, 48, false)
-	if lines != 2 {
-		t.Fatalf("lines = %d", lines)
-	}
-	_, lines = m.AccessRange(0, 0, 48, false)
-	if lines != 1 {
-		t.Fatalf("aligned lines = %d", lines)
-	}
-	_, lines = m.AccessRange(0, 0, 0, false)
-	if lines != 0 {
-		t.Fatalf("empty range lines = %d", lines)
+	// fragmentation case): the reader issues one transaction per line the
+	// range overlaps.
+	for _, c := range []struct {
+		addr, size uint64
+		lines      int64
+	}{{32, 48, 2}, {0, 48, 1}, {0, 0, 0}} {
+		m := New(cfgNoTimeout())
+		lineBytes := uint64(m.Config().LineBytes)
+		first, last, n := cache.LineSpan(c.addr, c.size, lineBytes)
+		for a := first; n > 0 && a <= last; a += lineBytes {
+			m.Access(0, a, false)
+		}
+		if got := m.Stats().Reads; got != c.lines {
+			t.Fatalf("[%d,+%d): %d line reads want %d", c.addr, c.size, got, c.lines)
+		}
 	}
 }
 
@@ -193,26 +214,6 @@ func TestEnergyAccounting(t *testing.T) {
 	}
 	if e.Total() <= 0 {
 		t.Fatal("total energy must be positive")
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	m := New(cfgNoTimeout())
-	m.Access(0, 0, false)
-	m.ResetStats(sim.FromMilliseconds(1))
-	if m.Stats() != (Stats{}) {
-		t.Fatal("stats not cleared")
-	}
-	if m.EnergySnapshot() != (Energy{}) {
-		t.Fatal("energy not cleared")
-	}
-	// Bank state survives ResetStats: with refresh disabled the open row
-	// still hits.
-	c := m.Config()
-	start := sim.FromMilliseconds(1)
-	d := m.Access(start, uint64(c.Channels)*uint64(c.LineBytes), false)
-	if got := d - start; got != c.TCL+c.TBurst {
-		t.Fatalf("row should still be open, latency %v", got)
 	}
 }
 
@@ -308,5 +309,36 @@ func TestMappingAffectsRowLocality(t *testing.T) {
 	}
 	if il < 0.8 {
 		t.Fatalf("RoCoRaBaCh strided sweep should mostly hit, hit rate %.2f", il)
+	}
+}
+
+func TestSnapshotRestoreRoundTrip(t *testing.T) {
+	c := DefaultConfig()
+	replay := func(m *Memory, from int) sim.Time {
+		var now sim.Time
+		for i := from; i < from+500; i++ {
+			now = m.Access(sim.Time(i)*sim.FromNanoseconds(40), uint64(i*i)*64, i%3 == 0)
+		}
+		m.AccrueBackground(now)
+		return now
+	}
+	m := New(c)
+	replay(m, 0)
+	st := m.Snapshot()
+	replay(m, 500)
+
+	// A fresh pool restored from the snapshot continues identically.
+	r := New(c)
+	if err := r.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	replay(r, 500)
+	if !reflect.DeepEqual(r.Snapshot(), m.Snapshot()) {
+		t.Fatalf("restored pool diverged: %+v vs %+v", r.Stats(), m.Stats())
+	}
+
+	c.Channels = 1
+	if err := New(c).Restore(st); err == nil {
+		t.Fatal("a snapshot of another bank count must be rejected")
 	}
 }

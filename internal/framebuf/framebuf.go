@@ -103,6 +103,21 @@ type FrameLayout struct {
 	Dump         []DumpEntry
 }
 
+// ResolveDump returns the pointer of the first dump entry, in dump order,
+// carrying digest. A RecDigest record names a digest from a frozen MACH
+// whose dump is retained with the layout, but an inter match may point at
+// an earlier frame whose own dump produced the entry; the fallback is the
+// buffer base, a timing error of one line's worth of locality. The dump is
+// in MACH entry order, not sorted by digest, so the search is linear.
+func (l *FrameLayout) ResolveDump(digest uint32) uint64 {
+	for _, e := range l.Dump {
+		if e.Digest == digest {
+			return e.Ptr
+		}
+	}
+	return l.BufferBase
+}
+
 // TotalBytes returns content + metadata footprint.
 func (l *FrameLayout) TotalBytes() uint64 { return l.ContentBytes + l.MetaBytes }
 

@@ -204,7 +204,8 @@ func Run(cfg Config, profileKey string, w, h, numFrames int, seed int64) (*Resul
 			case framebuf.RecDigest:
 				// Served by the encoder-side MACH buffer: no memory read.
 			default:
-				for _, ln := range cache.LinesFor(rec.Ptr, uint64(layout.MabBytes), line) {
+				first, last, n := cache.LineSpan(rec.Ptr, uint64(layout.MabBytes), line)
+				for ln := first; n > 0 && ln <= last; ln += line {
 					if !rcache.Access(ln, false).Hit {
 						mem.Access(at, ln, false)
 						res.EncoderLineReads++
