@@ -295,24 +295,6 @@ func BenchmarkCodecEncodeFrame(b *testing.B) {
 	}
 }
 
-func BenchmarkCodecDecodeFrame(b *testing.B) {
-	fr := benchFrame(b)
-	p := codec.DefaultParams(320, 180)
-	enc, _ := codec.NewEncoder(p)
-	efs, err := enc.Push(fr)
-	if err != nil || len(efs) != 1 {
-		b.Fatalf("encode: %v", err)
-	}
-	b.SetBytes(int64(fr.SizeBytes()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dec, _ := codec.NewDecoder(p)
-		if _, _, err := dec.Decode(efs[0]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCRC32Digest(b *testing.B) {
 	blk := make([]byte, 48)
 	for i := range blk {

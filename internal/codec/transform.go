@@ -146,37 +146,3 @@ func EncodeCoeffs(w *BitWriter, block []int32, n int) (nonzero int) {
 	w.WriteBit(0) // end of block
 	return nonzero
 }
-
-// DecodeCoeffs reads what EncodeCoeffs wrote into block (zeroing it first)
-// and returns the nonzero count.
-func DecodeCoeffs(r *BitReader, block []int32, n int) (nonzero int, err error) {
-	order := ZigZag(n)
-	for i := range block[:n*n] {
-		block[i] = 0
-	}
-	pos := 0
-	for {
-		marker, err := r.ReadBit()
-		if err != nil {
-			return nonzero, err
-		}
-		if marker == 0 {
-			return nonzero, nil
-		}
-		run, err := r.ReadUE()
-		if err != nil {
-			return nonzero, err
-		}
-		level, err := r.ReadSE()
-		if err != nil {
-			return nonzero, err
-		}
-		pos += int(run)
-		if pos >= len(order) || level == 0 {
-			return nonzero, fmt.Errorf("%w: coefficient overrun", ErrBitstream)
-		}
-		block[order[pos]] = level
-		pos++
-		nonzero++
-	}
-}

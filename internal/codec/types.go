@@ -112,19 +112,24 @@ func (p Params) MabsPerFrame() int {
 }
 
 // EncodedFrame is one compressed frame as buffered in memory (§2.1: encoded
-// frames take hundreds of KB and are buffered ahead of the decoder).
+// frames take hundreds of KB and are buffered ahead of the decoder). The
+// encoder runs a closed loop, so it also knows what a decoder makes of Data:
+// Recon is the decoded image and Work the decode work, both read-only.
 type EncodedFrame struct {
 	Type         FrameType
 	DisplayIndex int    // position in display order
 	Data         []byte // the bitstream
-	NumMabs      int
+	Recon        *Frame
+	Work         *FrameWork
 }
 
 // SizeBytes returns the buffered size of the encoded frame.
 func (f *EncodedFrame) SizeBytes() int { return len(f.Data) }
 
-// MabWork records the decode work one mab required; the decoder-IP timing
-// model converts these into cycles and memory traffic.
+// MabWork records the decode work one mab requires; the decoder-IP timing
+// model converts these into cycles and memory traffic. It holds only what
+// the bitstream carries: MV on P mabs, MVB and MVF on B mabs, Mode on intra
+// mabs, and zero elsewhere.
 type MabWork struct {
 	Type     MabType
 	Bits     int32 // entropy bits parsed for this mab
@@ -135,7 +140,8 @@ type MabWork struct {
 	Mode     IntraMode
 }
 
-// FrameWork aggregates decode work for a whole frame.
+// FrameWork aggregates decode work for a whole frame; TotalBits includes
+// the frame header.
 type FrameWork struct {
 	Type         FrameType
 	DisplayIndex int

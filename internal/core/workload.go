@@ -5,9 +5,10 @@ import (
 	"mach/internal/video"
 )
 
-// BuildTrace synthesizes one Table 1 workload and decodes it into a replay
-// trace: generate scene frames, encode them with the block codec, decode
-// once functionally. Every scheme then replays the identical trace.
+// BuildTrace synthesizes one Table 1 workload into a replay trace: generate
+// scene frames and encode them with the block codec, whose closed loop
+// yields each frame's decoded pixels and decode work as it goes, so no
+// decode pass follows. Every scheme then replays the identical trace.
 func BuildTrace(profileKey string, sc video.StreamConfig) (*trace.Trace, error) {
 	prof, err := video.ProfileByKey(profileKey)
 	if err != nil {

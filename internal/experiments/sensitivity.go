@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"mach/internal/codec"
 	"mach/internal/core"
 	"mach/internal/framebuf"
 	"mach/internal/hashes"
@@ -80,16 +79,34 @@ func (r *Runner) Fig12b(entries []int) (*stats.Table, error) {
 }
 
 // Fig12c reproduces the mab-size sensitivity on V14 (paper: 4x4 optimal).
-// Each size needs its own synthesis because the codec's block size changes.
 func (r *Runner) Fig12c(sizes []int) (*stats.Table, error) {
 	if len(sizes) == 0 {
 		sizes = []int{2, 4, 8, 16}
 	}
-	prof, err := video.ProfileByKey("V14")
+	sweep, err := r.MabSizeSweep(sizes)
 	if err != nil {
 		return nil, err
 	}
 	tb := stats.NewTable("mab-size", "gab-savings", "gab-match", "meta-overhead")
+	for i, s := range sweep {
+		n := sizes[i]
+		metaShare := float64(s.MetaBytes) / max(float64(s.RawBytes), 1)
+		tb.AddRow(fmt.Sprintf("%dx%d", n, n), pct(s.Savings()), pct(s.MatchRate()), pct(metaShare))
+	}
+	tb.AddRow("paper", "4x4 optimal", "", "")
+	return tb, nil
+}
+
+// MabSizeSweep is the data behind Fig12c: V14 re-encoded at each mab size
+// and written back through GAB MACH at that size, one writeback summary per
+// size in order. Each size needs its own synthesis because the codec's block
+// size changes.
+func (r *Runner) MabSizeSweep(sizes []int) ([]mach.Stats, error) {
+	prof, err := video.ProfileByKey("V14")
+	if err != nil {
+		return nil, err
+	}
+	out := make([]mach.Stats, 0, len(sizes))
 	for _, n := range sizes {
 		sc := r.Cfg.Stream
 		sc.MabSize = n
@@ -107,25 +124,14 @@ func (r *Runner) Fig12c(sizes []int) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dec, err := codec.NewDecoder(st.Params)
-		if err != nil {
-			return nil, err
-		}
 		for i, ef := range st.Encoded {
-			fr, _, err := dec.Decode(ef)
-			if err != nil {
-				return nil, err
-			}
 			base := framebuf.RegionFrameBuffers + uint64(i%32)*(1<<22)
 			dump := framebuf.RegionMachDumps + uint64(i%32)*(1<<16)
-			wb.ProcessFrame(fr, ef.DisplayIndex, base, dump, nil)
+			wb.ProcessFrame(ef.Recon, ef.DisplayIndex, base, dump, nil)
 		}
-		s := wb.Stats()
-		metaShare := float64(s.MetaBytes) / max(float64(s.RawBytes), 1)
-		tb.AddRow(fmt.Sprintf("%dx%d", n, n), pct(s.Savings()), pct(s.MatchRate()), pct(metaShare))
+		out = append(out, wb.Stats())
 	}
-	tb.AddRow("paper", "4x4 optimal", "", "")
-	return tb, nil
+	return out, nil
 }
 
 // Fig12d reproduces the hash study: collision behaviour of CRC32 versus

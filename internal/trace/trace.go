@@ -1,9 +1,11 @@
 // Package trace builds decode traces: the per-frame decoded pixels plus the
 // per-mab work records the timing models replay. This mirrors the paper's
 // methodology (FFmpeg + pintool traces replayed through the GemDroid
-// platform): the functional decode happens once per workload, and each
-// scheme under test replays the same trace through the timing and energy
-// models, so scheme comparisons are content-identical by construction.
+// platform): each workload's decode is captured once, and each scheme under
+// test replays the same trace through the timing and energy models, so
+// scheme comparisons are content-identical by construction. The capture
+// needs no decoder: the encoder's closed loop already holds every frame's
+// decoded pixels and decode work, and Build assembles the trace from them.
 package trace
 
 import (
@@ -35,24 +37,25 @@ type Trace struct {
 	digests  map[Variant]*DigestTable // one per variant reached; guarded by digestMu
 }
 
-// Build decodes an encoded stream into a trace.
+// Build assembles a trace from a decode-order encoded stream, taking each
+// frame's pixels and work from the encoder's reconstruction and work record.
+// The trace shares them, so they must not be modified afterwards. A frame
+// without them is an error.
 func Build(profileKey string, fps int, params codec.Params, encoded []*codec.EncodedFrame) (*Trace, error) {
-	dec, err := codec.NewDecoder(params)
-	if err != nil {
+	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	tr := &Trace{Profile: profileKey, FPS: fps, Params: params, Frames: make([]Frame, 0, len(encoded))}
 	for _, ef := range encoded {
-		fr, work, err := dec.Decode(ef)
-		if err != nil {
-			return nil, fmt.Errorf("trace: decoding frame %d: %w", ef.DisplayIndex, err)
+		if ef.Recon == nil || ef.Work == nil {
+			return nil, fmt.Errorf("trace: frame %d carries no reconstruction or work", ef.DisplayIndex)
 		}
 		tr.Frames = append(tr.Frames, Frame{
 			Type:         ef.Type,
 			DisplayIndex: ef.DisplayIndex,
 			EncodedBytes: ef.SizeBytes(),
-			Decoded:      fr,
-			Work:         work,
+			Decoded:      ef.Recon,
+			Work:         ef.Work,
 		})
 	}
 	return tr, nil

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,17 +86,32 @@ func TestSummarizeAndJSON(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsCorruptStream: Build takes each frame's pixels and work
+// from the encoder, so a hand-made frame that carries the bitstream alone,
+// or pixels without work, is an error naming the frame, not a panic or a
+// trace with a hole in it.
 func TestBuildRejectsCorruptStream(t *testing.T) {
 	prof, _ := video.ProfileByKey("V1")
 	st, err := video.Synthesize(prof, video.StreamConfig{Width: 32, Height: 32, NumFrames: 3, Seed: 1, MabSize: 4, Quant: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Encoded[1].Data = []byte{0xFF}
-	if _, err := Build(prof.Key, prof.FPS, st.Params, st.Encoded); err == nil {
-		t.Fatal("corrupt stream should fail to build")
+	good := st.Encoded[1]
+	for _, bad := range []*codec.EncodedFrame{
+		{Type: good.Type, DisplayIndex: good.DisplayIndex, Data: good.Data},
+		{Type: good.Type, DisplayIndex: good.DisplayIndex, Data: good.Data, Recon: good.Recon},
+		{Type: good.Type, DisplayIndex: good.DisplayIndex, Data: good.Data, Work: good.Work},
+	} {
+		encoded := []*codec.EncodedFrame{st.Encoded[0], bad, st.Encoded[2]}
+		_, err := Build(prof.Key, prof.FPS, st.Params, encoded)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("frame %d ", good.DisplayIndex)) {
+			t.Errorf("frame with reconstruction %v and work %v: err %v, want one naming frame %d",
+				bad.Recon != nil, bad.Work != nil, err, good.DisplayIndex)
+		}
 	}
-	_ = codec.FrameI
+	if _, err := Build(prof.Key, prof.FPS, codec.Params{}, st.Encoded); err == nil {
+		t.Error("invalid params should fail to build")
+	}
 }
 
 // TestDigestTableFillsOnce drives one digest table from several goroutines

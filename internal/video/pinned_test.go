@@ -7,17 +7,16 @@ import (
 	"fmt"
 	"hash"
 	"testing"
-
-	"mach/internal/codec"
 )
 
 // TestSynthesisPinned pins trace synthesis to the byte: for each case one
 // md5 over every encoded frame (type, display index, bitstream) in decode
-// order, the codec.Decoder reconstruction of that frame, and its decode work
+// order, the encoder's reconstruction of that frame, and its decode work
 // (per-mab type, intra mode, motion vectors, parsed bits and nonzero
 // coefficients, plus the frame's total bits). The decoder-IP cost model
 // charges per parsed bit, so a kernel rewrite in internal/codec must leave
-// all of it unchanged, not merely the image quality. The goldens run 4x4
+// all of it unchanged, not merely the image quality. That the bitstream
+// decodes to the same pixels and work is internal/codec's round-trip oracle. The goldens run 4x4
 // mabs only; Fig 12c re-encodes V14 at 2x2, 8x8 and 16x16, so those are
 // pinned here too.
 func TestSynthesisPinned(t *testing.T) {
@@ -47,15 +46,11 @@ func TestSynthesisPinned(t *testing.T) {
 	}
 }
 
-// synthesisDigest synthesizes and decodes one stream and hashes everything
-// the simulators read from it.
+// synthesisDigest synthesizes one stream and hashes everything the
+// simulators read from it.
 func synthesisDigest(t *testing.T, prof Profile, cfg StreamConfig) string {
 	t.Helper()
 	st, err := Synthesize(prof, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := codec.NewDecoder(st.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +58,8 @@ func synthesisDigest(t *testing.T, prof Profile, cfg StreamConfig) string {
 	for _, ef := range st.Encoded {
 		writeInts(h, int64(ef.Type), int64(ef.DisplayIndex), int64(len(ef.Data)))
 		h.Write(ef.Data)
-		fr, work, err := dec.Decode(ef)
-		if err != nil {
-			t.Fatalf("decode frame %d: %v", ef.DisplayIndex, err)
-		}
-		h.Write(fr.Pix)
+		h.Write(ef.Recon.Pix)
+		work := ef.Work
 		for _, mw := range work.Mabs {
 			writeInts(h, int64(mw.Type), int64(mw.Mode),
 				int64(mw.MV.DX), int64(mw.MV.DY),

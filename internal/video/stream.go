@@ -38,17 +38,9 @@ type Stream struct {
 	Encoded []*codec.EncodedFrame
 }
 
-// TotalEncodedBytes returns the buffered size of the whole stream.
-func (s *Stream) TotalEncodedBytes() int {
-	n := 0
-	for _, ef := range s.Encoded {
-		n += ef.SizeBytes()
-	}
-	return n
-}
-
 // Synthesize generates cfg.NumFrames frames of prof's content and encodes
-// them, returning the decode-order stream.
+// them, returning the decode-order stream; each frame carries the encoder's
+// reconstruction and decode work, which is all a trace needs.
 func Synthesize(prof Profile, cfg StreamConfig) (*Stream, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

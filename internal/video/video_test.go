@@ -142,44 +142,6 @@ func TestStaticProfileEncodesCheaply(t *testing.T) {
 	}
 }
 
-func TestSynthesizeRoundTripsThroughDecoder(t *testing.T) {
-	p, _ := ProfileByKey("V9")
-	cfg := StreamConfig{Width: 64, Height: 48, NumFrames: 10, Seed: 3, MabSize: 4, Quant: 8}
-	st, err := Synthesize(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Encoded) != 10 {
-		t.Fatalf("encoded frames = %d", len(st.Encoded))
-	}
-	dec, err := codec.NewDecoder(st.Params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int]bool{}
-	for _, ef := range st.Encoded {
-		fr, work, err := dec.Decode(ef)
-		if err != nil {
-			t.Fatalf("decode %d: %v", ef.DisplayIndex, err)
-		}
-		if fr.W != 64 || fr.H != 48 {
-			t.Fatalf("decoded size %dx%d", fr.W, fr.H)
-		}
-		if len(work.Mabs) != st.Params.MabsPerFrame() {
-			t.Fatalf("mab works = %d", len(work.Mabs))
-		}
-		seen[ef.DisplayIndex] = true
-	}
-	for i := 0; i < 10; i++ {
-		if !seen[i] {
-			t.Fatalf("display index %d missing", i)
-		}
-	}
-	if st.TotalEncodedBytes() <= 0 {
-		t.Fatal("stream should have bytes")
-	}
-}
-
 func TestBFrameProfileProducesBFrames(t *testing.T) {
 	p, _ := ProfileByKey("V5") // BFrames: 1
 	st, err := Synthesize(p, StreamConfig{Width: 32, Height: 32, NumFrames: 9, Seed: 1, MabSize: 4, Quant: 8})

@@ -105,7 +105,8 @@ var (
 	ProfileByKey = video.ProfileByKey
 	// WorkloadKeys returns the 16 workload keys in Table 1 order.
 	WorkloadKeys = core.WorkloadKeys
-	// BuildTrace synthesizes a workload and decodes it into a trace.
+	// BuildTrace synthesizes a workload into a trace: the encoder's
+	// reconstruction and decode work of every frame, with no decode pass.
 	BuildTrace = core.BuildTrace
 
 	// DeliveryByName maps a network profile name (lte, wifi, 3g, flaky)
