@@ -1,8 +1,7 @@
-// Command machlint runs the repository's ten-analyzer static-analysis
+// Command machlint runs the repository's eight-analyzer static-analysis
 // suite (see internal/lint): determinism, unit dimensions, energy ledgers,
-// snapshot coverage, error checks, float equality, self-comparison and
-// hot-path allocation invariants that keep the simulation replayable and
-// the energy accounting honest. The flow-sensitive checks (unitflow,
+// error checks, float equality and self-comparison invariants that keep the
+// simulation replayable and the energy accounting honest. The flow-sensitive checks (unitflow,
 // ledgercheck, pathcheck) run per-function CFGs so a unit mixed or an error
 // dropped three blocks after its definition is still caught, and
 // staleignore flags lint:ignore directives whose finding no longer exists.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"mach/internal/checkpoint"
@@ -16,9 +17,7 @@ import (
 )
 
 // runResumed runs the (trace, scheme, cfg) pipeline with a cut at frame
-// cutAt: step to the boundary, snapshot, rebuild a fresh Runner, restore,
-// and finish on the new one. The round trip goes through the real container
-// encode/decode so the on-disk format is what is proven equivalent.
+// cutAt: step to the boundary, then resume.
 func runResumed(t *testing.T, tr *trace.Trace, s Scheme, cfg Config, cutAt int) *Result {
 	t.Helper()
 	r1, err := NewRunner(tr, s, cfg)
@@ -28,6 +27,17 @@ func runResumed(t *testing.T, tr *trace.Trace, s Scheme, cfg Config, cutAt int) 
 	for !r1.Done() && r1.Frame() < cutAt {
 		r1.StepFrame()
 	}
+	return resume(t, r1, tr, s, cfg)
+}
+
+// resume snapshots r1 at its frame boundary, restores the payload into a
+// freshly built Runner, and finishes the run on the new one; r1 is left as
+// it was. The round trip goes through the real container encode/decode so
+// the on-disk format is what is proven equivalent, and the restored Runner
+// must snapshot to the same bytes again, so no state is lost or reordered
+// by serialization itself.
+func resume(t *testing.T, r1 *Runner, tr *trace.Trace, s Scheme, cfg Config) *Result {
+	t.Helper()
 	payload, err := r1.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -50,6 +60,13 @@ func runResumed(t *testing.T, tr *trace.Trace, s Scheme, cfg Config, cutAt int) 
 	}
 	if r2.Frame() != r1.Frame() {
 		t.Fatalf("restored cursor %d, want %d", r2.Frame(), r1.Frame())
+	}
+	again, err := r2.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, payload) {
+		t.Errorf("frame %d: snapshot changed across a restore round trip (%v)", r1.Frame(), diffFields(t, payload, again))
 	}
 	for !r2.Done() {
 		r2.StepFrame()
@@ -93,21 +110,33 @@ func TestResumeBitIdenticalGolden(t *testing.T) {
 	}
 }
 
-// TestResumeBitIdenticalSchemes proves resume equivalence for every
-// standard scheme, with per-frame sample collection on (the Sample state
-// also has to round-trip).
+// TestResumeBitIdenticalSchemes cuts every row of the step grid at every
+// frame boundary, from before the first frame to after the last, and
+// requires each snapshot to survive a restore round trip and each resumed
+// run to match the uninterrupted one byte for byte. Per-frame sample
+// collection is on, so the Sample state round-trips too.
 func TestResumeBitIdenticalSchemes(t *testing.T) {
-	cfg := testConfig()
-	cfg.CollectFrameSamples = true
-	tr := testTrace(t, "V1", goldenFrames)
-	for _, s := range StandardSchemes() {
-		t.Run(s.Name, func(t *testing.T) {
-			want := canonicalJSON(t, mustRun(t, tr, s, cfg))
-			for _, cut := range []int{1, 8, goldenFrames - 1} {
-				got := canonicalJSON(t, runResumed(t, tr, s, cfg, cut))
+	tr := testTrace(t, "V5", goldenFrames)
+	for _, row := range stepGrid() {
+		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
+			if !row.cfg.CollectFrameSamples {
+				t.Fatal("grid row does not collect frame samples")
+			}
+			want := canonicalJSON(t, mustRun(t, tr, row.s, row.cfg))
+			r, err := NewRunner(tr, row.s, row.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				got := canonicalJSON(t, resume(t, r, tr, row.s, row.cfg))
 				if !bytes.Equal(got, want) {
-					t.Errorf("cut at frame %d: resumed %s differs from uninterrupted run", cut, s.Name)
+					t.Errorf("cut at frame %d: resumed run differs:\n%s", r.Frame(), firstDiffLine(want, got))
 				}
+				if r.Done() {
+					break
+				}
+				r.StepFrame()
 			}
 		})
 	}
@@ -222,47 +251,73 @@ func TestResumeBitIdenticalParallel(t *testing.T) {
 	}
 }
 
-// TestSnapshotDeterministic requires identical snapshot bytes from
-// identical states — including a snapshot→restore→snapshot round trip, so
-// no state is lost or reordered by serialization itself.
+// TestSnapshotDeterministic requires identical snapshot bytes from two
+// identical runs, on every row of the step grid and at every frame
+// boundary. The restore round trip is checked by every resume (see resume).
 func TestSnapshotDeterministic(t *testing.T) {
-	cfg := testConfig()
 	tr := testTrace(t, "V5", goldenFrames)
-	step := func() *Runner {
-		r, err := NewRunner(tr, GAB(DefaultBatch), cfg)
-		if err != nil {
-			t.Fatal(err)
+	for _, row := range stepGrid() {
+		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
+			a, err := NewRunner(tr, row.s, row.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := NewRunner(tr, row.s, row.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				sa, err := a.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sb, err := b.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(sa, sb) {
+					t.Errorf("frame %d: identical runs snapshot to different bytes (%v)", a.Frame(), diffFields(t, sa, sb))
+				}
+				if a.Done() {
+					break
+				}
+				a.StepFrame()
+				b.StepFrame()
+			}
+		})
+	}
+}
+
+// diffFields names the snapshot fields, down to the components' own, on
+// which two payloads differ.
+func diffFields(t *testing.T, a, b []byte) []string {
+	t.Helper()
+	var ma, mb map[string]json.RawMessage
+	if err := json.Unmarshal(a, &ma); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &mb); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for k, v := range ma {
+		if bytes.Equal(v, mb[k]) {
+			continue
 		}
-		for r.Frame() < 9 {
-			r.StepFrame()
+		var ca, cb map[string]json.RawMessage
+		if json.Unmarshal(v, &ca) != nil || json.Unmarshal(mb[k], &cb) != nil {
+			out = append(out, k)
+			continue
 		}
-		return r
+		for ck, cv := range ca {
+			if !bytes.Equal(cv, cb[ck]) {
+				out = append(out, k+"."+ck)
+			}
+		}
 	}
-	a, err := step().Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := step().Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("identical runs snapshot to different bytes")
-	}
-	r, err := NewRunner(tr, GAB(DefaultBatch), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Restore(a); err != nil {
-		t.Fatal(err)
-	}
-	c, err := r.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, c) {
-		t.Fatal("snapshot changed across a restore round trip")
-	}
+	sort.Strings(out)
+	return out
 }
 
 // TestSaveLoadCheckpoint exercises the file path end to end, including the

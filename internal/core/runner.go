@@ -68,15 +68,18 @@ type Runner struct {
 	pool    *framebuf.Pool
 
 	// Mutable loop state (everything below round-trips through a snapshot).
-	res          *Result
-	now          sim.Time
-	trafficFrom  sim.Time
-	frame        int // next frame index to decode; equals frames decoded so far
-	batchIdx     int
-	batchEnd     int
-	releases     []sim.Time
-	frees        []pendingFree
-	layoutByDisp map[int]*framebuf.FrameLayout
+	res         *Result
+	now         sim.Time
+	trafficFrom sim.Time
+	frame       int // next frame index to decode; equals frames decoded so far
+	batchIdx    int
+	batchEnd    int
+	releases    []sim.Time
+	frees       []pendingFree
+	// live holds, in decode order, the layouts of decoded frames not yet
+	// retired: the display may repeat one, and the decoder's anchors are
+	// among them.
+	live         []*framebuf.FrameLayout
 	maxDisplayed int
 
 	// Slack-prediction state (§7 comparator): EWMA of low-frequency decode
@@ -91,18 +94,19 @@ type Runner struct {
 	rungSwitches int64
 	rungFrames   []int64
 
-	//lint:derived a checkpoint taken at the finish line is pointless; Restore rebuilds a runner that is mid-run by construction
+	// finished is not snapshotted: a checkpoint taken at the finish line
+	// is pointless, and Restore rebuilds a runner that is mid-run by
+	// construction.
 	finished bool
 
 	// Persistent writeback hook handed to DecodeFrame every frame; the
 	// per-frame parameters travel through the wb* fields so StepFrame never
-	// captures a fresh closure environment.
-	wbHook func(sink func(addr uint64, size int, mabOrdinal int)) *framebuf.FrameLayout
-	//lint:derived per-frame hook arguments, rewritten by every StepFrame before the decode call reads them
-	wbFrame *codec.Frame
-	//lint:derived per-frame hook arguments, rewritten by every StepFrame before the decode call reads them
-	wbDisplayIndex int
-	//lint:derived per-frame hook arguments, rewritten by every StepFrame before the decode call reads them
+	// captures a fresh closure environment. The arguments are not
+	// snapshotted: every StepFrame rewrites them before the decode call
+	// reads them.
+	wbHook             func(sink func(addr uint64, size int, mabOrdinal int)) *framebuf.FrameLayout
+	wbFrame            *codec.Frame
+	wbDisplayIndex     int
 	wbBase, wbDumpBase uint64
 }
 
@@ -118,8 +122,7 @@ func NewRunner(tr *trace.Trace, s Scheme, cfg Config) (*Runner, error) {
 		return nil, fmt.Errorf("core: empty trace")
 	}
 
-	r := &Runner{tr: tr, s: s, cfg: cfg, maxDisplayed: -1,
-		layoutByDisp: make(map[int]*framebuf.FrameLayout)}
+	r := &Runner{tr: tr, s: s, cfg: cfg, maxDisplayed: -1}
 
 	r.period = sim.Time(int64(sim.Second) / int64(max(tr.FPS, 1)))
 	// Streams with B frames need one extra period of display latency for
@@ -262,10 +265,12 @@ func NewRunner(tr *trace.Trace, s Scheme, cfg Config) (*Runner, error) {
 		cursor += alignUp(uint64(tr.Frames[i].EncodedBytes))
 	}
 
-	// The release ledger gains one entry per frame and the pending-free list
-	// stays at most a pool's worth deep; sizing both up front keeps the
-	// per-frame step free of slice growth.
+	// The release ledger gains one entry per frame, the live layouts are at
+	// most one per frame, and the pending-free list stays at most a pool's
+	// worth deep; sizing all three up front keeps the per-frame step free of
+	// slice growth.
 	r.releases = make([]sim.Time, 0, len(tr.Frames))
+	r.live = make([]*framebuf.FrameLayout, 0, len(tr.Frames))
 	r.frees = make([]pendingFree, 0, r.poolCap+8)
 	r.wbHook = func(sink func(addr uint64, size int, mabOrdinal int)) *framebuf.FrameLayout {
 		return r.wb.ProcessFrame(r.wbFrame, r.wbDisplayIndex, r.wbBase, r.wbDumpBase, sink)
@@ -381,10 +386,19 @@ func (r *Runner) startBatch() {
 	r.emitTraffic(r.now)
 }
 
+// layoutOf returns the live layout of display index d, or nil.
+func (r *Runner) layoutOf(d int) *framebuf.FrameLayout {
+	for _, l := range r.live {
+		if l.DisplayIndex == d {
+			return l
+		}
+	}
+	return nil
+}
+
 // StepFrame decodes and displays exactly one frame, opening a new batch
 // first when the previous one is exhausted. Calling it after Done is a bug.
-//
-//lint:hotpath the per-frame engine step; everything it reaches runs once per simulated frame and is gated allocation-free
+// A steady-state step allocates nothing (TestStepFrameZeroAllocs).
 func (r *Runner) StepFrame() {
 	if r.Done() {
 		panic("core: StepFrame past end of trace")
@@ -448,7 +462,7 @@ func (r *Runner) StepFrame() {
 		r.mabsPerRow, r.mabsPerCol, r.mabSize,
 	)
 	r.ip.RegisterLayout(layout, f.Type)
-	r.layoutByDisp[f.DisplayIndex] = layout
+	r.live = append(r.live, layout)
 	r.now = fres.Done
 	r.frame++
 
@@ -484,7 +498,7 @@ func (r *Runner) StepFrame() {
 		// Missed the refresh: the DC re-renders the previous frame (§2.1)
 		// and this frame's content is skipped.
 		r.res.Drops++
-		r.dc.RepeatFrame(dt, r.layoutByDisp[f.DisplayIndex-1])
+		r.dc.RepeatFrame(dt, r.layoutOf(f.DisplayIndex-1))
 	}
 
 	// Slot lifetime: until scanned out plus the MACH retention window
@@ -506,17 +520,20 @@ func (r *Runner) StepFrame() {
 	r.releases[lo] = freeAt
 	r.frees = append(r.frees, pendingFree{at: freeAt, slot: slot})
 
-	// Retire decoder-side reference layouts that can no longer be
-	// referenced (older than the MACH window and the anchor pair); retired
-	// layouts go back to the writeback engine for reuse.
+	// Retire layouts that can no longer be referenced (older than the MACH
+	// window and the anchor pair); retired layouts go back to the writeback
+	// engine for reuse, in decode order.
 	horizon := f.DisplayIndex - r.retention - 4
-	for d, l := range r.layoutByDisp {
-		if d < horizon {
-			r.ip.RetireLayout(d)
-			delete(r.layoutByDisp, d)
+	kept := r.live[:0]
+	for _, l := range r.live {
+		if l.DisplayIndex < horizon {
+			r.ip.RetireLayout(l.DisplayIndex)
 			r.wb.Recycle(l)
+		} else {
+			kept = append(kept, l)
 		}
 	}
+	r.live = kept
 }
 
 // Finish runs the post-playback tail and assembles the Result. It must be

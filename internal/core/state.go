@@ -63,9 +63,9 @@ type simState struct {
 
 	Releases []sim.Time
 	Frees    []freeRecord
-	// Layouts holds the live reference layouts by value, sorted by
-	// DisplayIndex; the Runner and the decoder IP share the rebuilt
-	// pointers exactly as the live pipeline does.
+	// Layouts holds the live layouts by value, sorted by DisplayIndex; the
+	// Runner and the decoder IP share the rebuilt pointers exactly as the
+	// live pipeline does.
 	Layouts []framebuf.FrameLayout
 
 	// Partial Result counters accumulated by the loop so far.
@@ -168,12 +168,10 @@ func (r *Runner) Snapshot() ([]byte, error) {
 			st.Frees[i] = freeRecord{At: f.at, Slot: f.slot}
 		}
 	}
-	if len(r.layoutByDisp) > 0 {
-		st.Layouts = make([]framebuf.FrameLayout, len(r.layoutByDisp))
-		i := 0
-		for _, l := range r.layoutByDisp {
+	if len(r.live) > 0 {
+		st.Layouts = make([]framebuf.FrameLayout, len(r.live))
+		for i, l := range r.live {
 			st.Layouts[i] = *l
-			i++
 		}
 		sort.Slice(st.Layouts, func(a, b int) bool {
 			return st.Layouts[a].DisplayIndex < st.Layouts[b].DisplayIndex
@@ -288,6 +286,17 @@ func (r *Runner) Restore(payload []byte) error {
 		}
 		layouts[l.DisplayIndex] = l
 	}
+	// The live list is in decode order, as the uninterrupted run holds it,
+	// so every layout must belong to a decoded frame.
+	live := make([]*framebuf.FrameLayout, 0, nFrames)
+	for i := 0; i < st.Frame; i++ {
+		if l := layouts[r.tr.Frames[i].DisplayIndex]; l != nil {
+			live = append(live, l)
+		}
+	}
+	if len(live) != len(st.Layouts) {
+		return fmt.Errorf("core: %d of %d layouts belong to no decoded frame", len(st.Layouts)-len(live), len(st.Layouts))
+	}
 
 	// --- Component restores (each validates its own shape) ---------------
 	if err := r.pool.Restore(st.Pool); err != nil {
@@ -313,7 +322,7 @@ func (r *Runner) Restore(payload []byte) error {
 	if err := r.mem.Restore(st.Mem); err != nil {
 		return err
 	}
-	if err := r.ip.Restore(st.Decoder, layouts); err != nil {
+	if err := r.ip.Restore(st.Decoder, live); err != nil {
 		return err
 	}
 	if err := r.wb.Restore(st.Mach); err != nil {
@@ -350,7 +359,7 @@ func (r *Runner) Restore(payload []byte) error {
 	}
 	r.releases = append([]sim.Time(nil), st.Releases...)
 	r.frees = frees
-	r.layoutByDisp = layouts
+	r.live = live
 	r.res.Drops = st.Drops
 	r.res.Rebuffers = st.Rebuffers
 	r.res.RebufferTime = st.RebufferTime

@@ -153,26 +153,25 @@ type pendingWrite struct {
 	ord  int
 }
 
-// IP is the decoder instance. It retains the memory layouts of recently
-// decoded frames so motion compensation can resolve reference addresses.
+// IP is the decoder instance. It holds the memory layouts of its two anchor
+// frames so motion compensation can resolve reference addresses.
 type IP struct {
 	cfg   Config
 	mem   *dram.Memory
 	cache *cache.SetAssoc
 	stats Stats
 
-	// Reference layouts by display index, retired by the pipeline.
-	layouts map[int]*framebuf.FrameLayout
-	// Anchor tracking mirrors codec.Decoder's reference rule.
-	olderAnchor, newerAnchor int
+	// The anchor pair P and B frames predict from, following the codec's
+	// reference rule: the two most recent non-B layouts, newest last. The
+	// pipeline owns the layouts and retires them through RetireLayout.
+	older, newer *framebuf.FrameLayout
 
 	// Per-frame scratch, reused across DecodeFrame calls so the steady-state
-	// decode loop allocates nothing. All of it is dead between frames.
-	//lint:derived per-frame mab retirement times, fully rewritten each DecodeFrame
-	mabDone []sim.Time
-	//lint:derived per-frame queued writeback lines, reset each DecodeFrame
-	pending []pendingWrite
-	//lint:derived per-fetch reference address lists, reset on every refMabAddrs call
+	// decode loop allocates nothing. All of it is dead between frames and
+	// stays out of State: mabDone is rewritten by every DecodeFrame, pending
+	// is reset by it, and the two address lists by every refMabAddrs call.
+	mabDone                     []sim.Time
+	pending                     []pendingWrite
 	metaScratch, contentScratch []uint64
 
 	// Persistent hot-path closures, built once at construction so per-frame
@@ -188,12 +187,9 @@ func New(cfg Config, mem *dram.Memory) *IP {
 		panic(err)
 	}
 	ip := &IP{
-		cfg:         cfg,
-		mem:         mem,
-		cache:       cache.NewSetAssoc(cfg.CacheBytes, cfg.LineBytes, cfg.CacheWays),
-		layouts:     make(map[int]*framebuf.FrameLayout),
-		olderAnchor: -1,
-		newerAnchor: -1,
+		cfg:   cfg,
+		mem:   mem,
+		cache: cache.NewSetAssoc(cfg.CacheBytes, cfg.LineBytes, cfg.CacheWays),
 	}
 	ip.sink = ip.writeLine
 	ip.collect = func(addr uint64, size int, mabOrdinal int) {
@@ -212,24 +208,30 @@ func (ip *IP) Stats() Stats { return ip.stats }
 func (ip *IP) CacheStats() cache.Stats { return ip.cache.Stats() }
 
 // RegisterLayout records a decoded frame's memory layout for use as a
-// reference by later frames. The pipeline calls it right after writeback.
+// reference by later frames. The pipeline calls it right after writeback;
+// only anchors (I and P frames) are kept.
 func (ip *IP) RegisterLayout(l *framebuf.FrameLayout, frameType codec.FrameType) {
-	ip.layouts[l.DisplayIndex] = l
 	if frameType != codec.FrameB {
-		ip.olderAnchor = ip.newerAnchor
-		ip.newerAnchor = l.DisplayIndex
+		ip.older, ip.newer = ip.newer, l
 	}
 }
 
-// RetireLayout drops a reference layout the pipeline no longer needs.
+// RetireLayout tells the decoder the pipeline has retired the layout of
+// displayIndex and may reuse it; an anchor that is retired is never read
+// again.
 func (ip *IP) RetireLayout(displayIndex int) {
-	delete(ip.layouts, displayIndex)
+	if ip.older != nil && ip.older.DisplayIndex == displayIndex {
+		ip.older = nil
+	}
+	if ip.newer != nil && ip.newer.DisplayIndex == displayIndex {
+		ip.newer = nil
+	}
 }
 
 // State is the serializable mirror of the IP's cross-frame state: counters,
-// decode-cache contents, and the anchor pair. The reference-layout table is
-// restored separately (the pipeline owns the layout objects and shares them
-// with the IP by pointer).
+// decode-cache contents, and the display indices of the anchor pair (-1 for
+// none). The anchor layouts themselves are restored separately: the
+// pipeline owns the layout objects and shares them with the IP by pointer.
 type State struct {
 	Stats       Stats
 	Cache       cache.State
@@ -237,32 +239,54 @@ type State struct {
 	NewerAnchor int
 }
 
-// Snapshot returns a copy of the IP's mutable state, excluding the layout
-// table (see State).
+// anchorIndex is the display index of an anchor, or -1 for none.
+func anchorIndex(l *framebuf.FrameLayout) int {
+	if l == nil {
+		return -1
+	}
+	return l.DisplayIndex
+}
+
+// Snapshot returns a copy of the IP's mutable state (see State).
 func (ip *IP) Snapshot() State {
 	return State{
 		Stats:       ip.stats,
 		Cache:       ip.cache.Snapshot(),
-		OlderAnchor: ip.olderAnchor,
-		NewerAnchor: ip.newerAnchor,
+		OlderAnchor: anchorIndex(ip.older),
+		NewerAnchor: anchorIndex(ip.newer),
 	}
 }
 
 // Restore overwrites the IP's mutable state from a snapshot taken on an
-// identically configured IP. layouts becomes the IP's reference table; the
-// caller passes the same layout objects it hands the display, preserving
-// the pointer sharing the live pipeline has. The map is copied.
-func (ip *IP) Restore(st State, layouts map[int]*framebuf.FrameLayout) error {
+// identically configured IP. layouts are the pipeline's live layouts, the
+// same objects it hands the display, so the restored anchors share them by
+// pointer exactly as the live pipeline does; an anchor index with no live
+// layout is an error.
+func (ip *IP) Restore(st State, layouts []*framebuf.FrameLayout) error {
+	find := func(d int) (*framebuf.FrameLayout, error) {
+		if d == -1 {
+			return nil, nil
+		}
+		for _, l := range layouts {
+			if l.DisplayIndex == d {
+				return l, nil
+			}
+		}
+		return nil, fmt.Errorf("decoder: anchor %d has no live layout", d)
+	}
+	older, err := find(st.OlderAnchor)
+	if err != nil {
+		return err
+	}
+	newer, err := find(st.NewerAnchor)
+	if err != nil {
+		return err
+	}
 	if err := ip.cache.Restore(st.Cache); err != nil {
 		return err
 	}
 	ip.stats = st.Stats
-	ip.olderAnchor = st.OlderAnchor
-	ip.newerAnchor = st.NewerAnchor
-	ip.layouts = make(map[int]*framebuf.FrameLayout, len(layouts))
-	for d, l := range layouts {
-		ip.layouts[d] = l
-	}
+	ip.older, ip.newer = older, newer
 	return nil
 }
 
@@ -426,11 +450,10 @@ func (ip *IP) DecodeFrame(
 	}
 	var bitsSeen int64
 
-	backRef := ip.layouts[ip.newerAnchor]
+	backRef := ip.newer
 	var fwdRef, bRef *framebuf.FrameLayout
 	if work.Type == codec.FrameB {
-		bRef = ip.layouts[ip.olderAnchor]
-		fwdRef = ip.layouts[ip.newerAnchor]
+		bRef, fwdRef = ip.older, ip.newer
 	}
 
 	var cycles sim.Cycles

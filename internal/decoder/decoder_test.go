@@ -165,16 +165,28 @@ func TestReferenceFetchesStallAndCache(t *testing.T) {
 	}
 }
 
+// Retiring an anchor's layout stops the decoder reading it: the pipeline
+// recycles retired layouts, so a stale anchor would read a reused one.
 func TestRetireLayout(t *testing.T) {
 	ip := New(DefaultConfig(), testMem())
-	l := &framebuf.FrameLayout{Kind: framebuf.LayoutRaw, DisplayIndex: 7, MabBytes: 48}
-	ip.RegisterLayout(l, codec.FrameP)
-	if ip.layouts[7] == nil {
-		t.Fatal("layout not registered")
+	a := &framebuf.FrameLayout{Kind: framebuf.LayoutRaw, DisplayIndex: 6, MabBytes: 48}
+	b := &framebuf.FrameLayout{Kind: framebuf.LayoutRaw, DisplayIndex: 7, MabBytes: 48}
+	ip.RegisterLayout(a, codec.FrameI)
+	ip.RegisterLayout(b, codec.FrameP)
+	ip.RetireLayout(5) // not an anchor: nothing changes
+	if ip.older != a || ip.newer != b {
+		t.Fatal("retiring a non-anchor dropped an anchor")
+	}
+	ip.RetireLayout(6)
+	if ip.older != nil || ip.newer != b {
+		t.Fatal("older anchor not retired")
 	}
 	ip.RetireLayout(7)
-	if ip.layouts[7] != nil {
-		t.Fatal("layout not retired")
+	if ip.newer != nil {
+		t.Fatal("newer anchor not retired")
+	}
+	if st := ip.Snapshot(); st.OlderAnchor != -1 || st.NewerAnchor != -1 {
+		t.Fatalf("retired anchors snapshot as %d/%d, want -1/-1", st.OlderAnchor, st.NewerAnchor)
 	}
 }
 
@@ -186,8 +198,21 @@ func TestAnchorTracking(t *testing.T) {
 	ip.RegisterLayout(a, codec.FrameI)
 	ip.RegisterLayout(b, codec.FrameP)
 	ip.RegisterLayout(c, codec.FrameB) // B frames do not shift anchors
-	if ip.olderAnchor != 0 || ip.newerAnchor != 2 {
-		t.Fatalf("anchors = %d/%d", ip.olderAnchor, ip.newerAnchor)
+	if ip.older != a || ip.newer != b {
+		t.Fatalf("anchors = %v/%v", ip.older, ip.newer)
+	}
+	// A restore finds the anchors among the live layouts by display index,
+	// and rejects an anchor with no live layout.
+	st := ip.Snapshot()
+	fresh := New(DefaultConfig(), testMem())
+	if err := fresh.Restore(st, []*framebuf.FrameLayout{c, b, a}); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.older != a || fresh.newer != b {
+		t.Fatalf("restored anchors = %v/%v", fresh.older, fresh.newer)
+	}
+	if err := New(DefaultConfig(), testMem()).Restore(st, []*framebuf.FrameLayout{b}); err == nil {
+		t.Fatal("restore accepted an anchor with no live layout")
 	}
 }
 

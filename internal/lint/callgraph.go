@@ -8,9 +8,9 @@ import (
 )
 
 // Package-level call graph over one package, the substrate for the
-// interprocedural analyses (summary.go, statecheck, allocheck's hot-path
-// cone, and the call-boundary cases of unitflow and ledgercheck). Per DESIGN.md
-// "machlint v3", resolution covers four callee shapes:
+// interprocedural summaries (summary.go) behind the call-boundary cases of
+// unitflow and ledgercheck. Per DESIGN.md "machlint v3", resolution covers
+// four callee shapes:
 //
 //   - static calls of package-level functions, in this package or any other
 //     module package (the module index maps *types.Func to its node);
@@ -37,7 +37,6 @@ type funcNode struct {
 	name   string       // diagnostic name
 	body   *ast.BlockStmt
 	sig    *types.Signature
-	recv   *types.Var   // receiver object, nil if none
 	params []*types.Var // declared parameters in order (nil entries for _ / unnamed)
 
 	pass      *Pass     // engine pass of the owning package
@@ -72,12 +71,6 @@ type moduleIndex struct {
 	byFunc map[*types.Func]*funcNode
 	graphs map[string]*callGraph
 	named  []*types.Named
-
-	// hot is the allocheck cone: every node reachable from a
-	// //lint:hotpath root without entering a constructor fence. Computed
-	// once per run, on the first allocheck pass (hotDone guards it).
-	hot     map[*funcNode]bool
-	hotDone bool
 }
 
 // enginePass builds a Pass usable by the engine itself (CFGs, type info);
@@ -161,7 +154,7 @@ func newCallGraph(pass *Pass) *callGraph {
 				sig:  obj.Type().(*types.Signature),
 				pass: pass,
 			}
-			n.recv, n.params = declObjects(pass, fd.Recv, fd.Type)
+			n.params = paramObjects(pass, fd.Type)
 			g.nodes = append(g.nodes, n)
 			g.byFunc[obj] = n
 			g.collectLits(n, fd.Body)
@@ -191,7 +184,7 @@ func (g *callGraph) collectLits(enclosing *funcNode, body *ast.BlockStmt) {
 		if tv, ok := g.pass.Info.Types[lit]; ok {
 			n.sig, _ = tv.Type.(*types.Signature)
 		}
-		_, n.params = declObjects(g.pass, nil, lit.Type)
+		n.params = paramObjects(g.pass, lit.Type)
 		g.nodes = append(g.nodes, n)
 		g.byLit[lit] = n
 		g.addEdge(enclosing, n)
@@ -200,13 +193,10 @@ func (g *callGraph) collectLits(enclosing *funcNode, body *ast.BlockStmt) {
 	})
 }
 
-// declObjects resolves the receiver and parameter objects of a declaration.
-// Unnamed and blank parameters keep their index with a nil entry, so call
-// arguments align positionally.
-func declObjects(pass *Pass, recv *ast.FieldList, ft *ast.FuncType) (rv *types.Var, params []*types.Var) {
-	if recv != nil && len(recv.List) == 1 && len(recv.List[0].Names) == 1 {
-		rv, _ = pass.Info.Defs[recv.List[0].Names[0]].(*types.Var)
-	}
+// paramObjects resolves the parameter objects of a declaration. Unnamed
+// and blank parameters keep their index with a nil entry, so call arguments
+// align positionally.
+func paramObjects(pass *Pass, ft *ast.FuncType) (params []*types.Var) {
 	if ft.Params != nil {
 		for _, f := range ft.Params.List {
 			if len(f.Names) == 0 {
@@ -219,7 +209,7 @@ func declObjects(pass *Pass, recv *ast.FieldList, ft *ast.FuncType) (rv *types.V
 			}
 		}
 	}
-	return rv, params
+	return params
 }
 
 func funcDisplayName(fn *types.Func) string {
@@ -513,29 +503,6 @@ func (m *moduleIndex) implementors(iface *types.Interface, method string) []*fun
 
 // calleesOf returns the resolved module targets of a call, or nil.
 func (g *callGraph) calleesOf(call *ast.CallExpr) []*funcNode { return g.callees[call] }
-
-// nodeOf returns the graph node for a declared function or method.
-func (g *callGraph) nodeOf(fn *types.Func) *funcNode { return g.byFunc[fn] }
-
-// reachableFrom returns every node reachable from the roots along call and
-// containment edges, roots included.
-func (g *callGraph) reachableFrom(roots ...*funcNode) map[*funcNode]bool {
-	seen := map[*funcNode]bool{}
-	var walk func(n *funcNode)
-	walk = func(n *funcNode) {
-		if n == nil || seen[n] {
-			return
-		}
-		seen[n] = true
-		for _, o := range n.out {
-			walk(o)
-		}
-	}
-	for _, r := range roots {
-		walk(r)
-	}
-	return seen
-}
 
 // condense runs Tarjan's algorithm over the package nodes. SCCs come out
 // callee-first, which is exactly the bottom-up order summary computation

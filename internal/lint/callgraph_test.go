@@ -46,6 +46,16 @@ func declaredNode(t *testing.T, g *callGraph, frag string) *funcNode {
 	return found
 }
 
+// calls reports whether the graph has an edge from one node to another.
+func calls(from, to *funcNode) bool {
+	for _, o := range from.out {
+		if o == to {
+			return true
+		}
+	}
+	return false
+}
+
 func TestCallGraphMethodValue(t *testing.T) {
 	src := `package p
 
@@ -62,8 +72,8 @@ func run(t *T) {
 	g := mod.graphs[pkg.Path]
 	run := declaredNode(t, g, "run")
 	bump := declaredNode(t, g, "bump")
-	if !g.reachableFrom(run)[bump] {
-		t.Fatalf("bump not reachable from run through the method-value binding")
+	if !calls(run, bump) {
+		t.Fatalf("no edge from run to bump through the method-value binding")
 	}
 }
 
@@ -119,9 +129,8 @@ func call(i iface) { i.m() }
 	call := declaredNode(t, g, "call")
 	ma := declaredNode(t, g, "a).m")
 	mb := declaredNode(t, g, "b).m")
-	reach := g.reachableFrom(call)
-	if !reach[ma] || !reach[mb] {
-		t.Fatalf("interface dispatch should reach both implementations; got a=%v b=%v", reach[ma], reach[mb])
+	if !calls(call, ma) || !calls(call, mb) {
+		t.Fatalf("interface dispatch should reach both implementations; got a=%v b=%v", calls(call, ma), calls(call, mb))
 	}
 }
 

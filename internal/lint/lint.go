@@ -49,18 +49,12 @@ type Pass struct {
 	check  string
 	report func(Diagnostic)
 
-	// graph and mod are the interprocedural layer (machlint v3): the
-	// package's resolved call graph with per-function summaries, and the
-	// module-wide index behind it. RunAnalyzers builds them once per run;
-	// they are nil in unit tests that construct a Pass by hand, and every
-	// analyzer degrades to its intraprocedural behavior in that case.
+	// graph is the interprocedural layer (machlint v3): the package's
+	// resolved call graph with per-function summaries. RunAnalyzers builds
+	// it once per run; it is nil in unit tests that construct a Pass by
+	// hand, and every analyzer degrades to its intraprocedural behavior in
+	// that case.
 	graph *callGraph
-	mod   *moduleIndex
-
-	// directives is the run-wide directive list (every package). Allocheck
-	// reads it to discover //lint:hotpath roots in other packages and marks
-	// the resolved ones used, which is what keeps them out of staleignore.
-	directives []*ignoreDirective
 }
 
 // Reportf records a diagnostic at pos.
@@ -96,39 +90,13 @@ type Analyzer struct {
 // IgnorePrefix starts a suppression directive comment.
 const IgnorePrefix = "//lint:ignore"
 
-// DerivedPrefix starts a derived-state annotation: `//lint:derived <reason>`
-// on (or above) a mutable struct field tells statecheck the field is
-// deliberately not serialized because Restore recomputes it (wake plans,
-// per-frame scratch, execution configuration). It is sugar for
-// `//lint:ignore statecheck <reason>` with its own vocabulary, and the
-// staleignore pass flags annotations whose field became covered or vanished.
-const DerivedPrefix = "//lint:derived"
-
-// HotpathPrefix starts a hot-path root annotation: `//lint:hotpath <reason>`
-// on (or above) a function declaration marks it as a per-frame entry point
-// whose whole call cone the allocheck analyzer sweeps for allocation sites.
-// Like lint:derived, the reason is mandatory — it documents why the function
-// is per-frame — and the staleignore pass flags annotations that no longer
-// sit on a function declaration, so roots cannot silently detach when code
-// moves.
-const HotpathPrefix = "//lint:hotpath"
-
-// ignoreDirective is one parsed `//lint:ignore <check> <reason>` or
-// `//lint:derived <reason>` comment.
+// ignoreDirective is one parsed `//lint:ignore <check> <reason>` comment.
 type ignoreDirective struct {
 	pos    token.Position
 	checks []string // "all" matches any check
 	reason string
-	// derived marks the //lint:derived spelling, which scopes itself to
-	// statecheck and gets its own staleness wording.
-	derived bool
-	// hotpath marks the //lint:hotpath spelling: a root annotation consumed
-	// by allocheck, never a suppression. Its checks list carries "allocheck"
-	// only so staleness applicability follows subset runs correctly.
-	hotpath bool
 	// used records whether the directive suppressed at least one raw
-	// diagnostic in this run (or, for hotpath roots, resolved to a function
-	// declaration); StaleIgnore reports the ones that did not.
+	// diagnostic in this run; StaleIgnore reports the ones that did not.
 	used bool
 }
 
@@ -148,44 +116,6 @@ func parseDirectives(fset *token.FileSet, f *ast.File, report func(Diagnostic)) 
 	var ds []*ignoreDirective
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			if strings.HasPrefix(c.Text, DerivedPrefix) {
-				pos := fset.Position(c.Pos())
-				reason := strings.TrimSpace(strings.TrimPrefix(c.Text, DerivedPrefix))
-				if reason == "" {
-					report(Diagnostic{
-						Pos:     pos,
-						Check:   "lintdirective",
-						Message: "malformed lint:derived directive: want //lint:derived <why Restore recomputes this field>",
-					})
-					continue
-				}
-				ds = append(ds, &ignoreDirective{
-					pos:     pos,
-					checks:  []string{"statecheck"},
-					reason:  reason,
-					derived: true,
-				})
-				continue
-			}
-			if strings.HasPrefix(c.Text, HotpathPrefix) {
-				pos := fset.Position(c.Pos())
-				reason := strings.TrimSpace(strings.TrimPrefix(c.Text, HotpathPrefix))
-				if reason == "" {
-					report(Diagnostic{
-						Pos:     pos,
-						Check:   "lintdirective",
-						Message: "malformed lint:hotpath directive: want //lint:hotpath <why this function runs per frame>",
-					})
-					continue
-				}
-				ds = append(ds, &ignoreDirective{
-					pos:     pos,
-					checks:  []string{"allocheck"},
-					reason:  reason,
-					hotpath: true,
-				})
-				continue
-			}
 			if !strings.HasPrefix(c.Text, IgnorePrefix) {
 				continue
 			}
@@ -215,11 +145,6 @@ func parseDirectives(fset *token.FileSet, f *ast.File, report func(Diagnostic)) 
 func suppressed(d Diagnostic, ds []*ignoreDirective) bool {
 	hit := false
 	for _, dir := range ds {
-		// Hotpath directives are root annotations, not suppressions: an
-		// allocheck finding adjacent to one stays reported.
-		if dir.hotpath {
-			continue
-		}
 		if dir.pos.Filename != d.Pos.Filename || !dir.matches(d.Check) {
 			continue
 		}
@@ -268,16 +193,14 @@ func RunAnalyzersTimed(fset *token.FileSet, pkgs []*Package, analyzers []*Analyz
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			pass := &Pass{
-				Fset:       fset,
-				Path:       pkg.Path,
-				Files:      pkg.Files,
-				Pkg:        pkg.Types,
-				Info:       pkg.Info,
-				check:      a.Name,
-				report:     collect,
-				graph:      mod.graphs[pkg.Path],
-				mod:        mod,
-				directives: directives,
+				Fset:   fset,
+				Path:   pkg.Path,
+				Files:  pkg.Files,
+				Pkg:    pkg.Types,
+				Info:   pkg.Info,
+				check:  a.Name,
+				report: collect,
+				graph:  mod.graphs[pkg.Path],
 			}
 			t0 := time.Now()
 			a.Run(pass)
@@ -357,18 +280,11 @@ func staleDirectives(directives []*ignoreDirective, analyzers []*Analyzer) []Dia
 		if !applicable {
 			continue
 		}
-		msg := fmt.Sprintf("lint:ignore %s directive suppresses no finding; the violation it excused is gone — delete the directive",
-			strings.Join(dir.checks, ","))
-		if dir.derived {
-			msg = "lint:derived annotation marks no un-snapshotted field; the field it excused is now covered or gone — delete the annotation"
-		}
-		if dir.hotpath {
-			msg = "lint:hotpath annotation marks no function declaration; move it onto the per-frame entry point's doc comment or delete it"
-		}
 		out = append(out, Diagnostic{
-			Pos:     dir.pos,
-			Check:   StaleIgnore.Name,
-			Message: msg,
+			Pos:   dir.pos,
+			Check: StaleIgnore.Name,
+			Message: fmt.Sprintf("lint:ignore %s directive suppresses no finding; the violation it excused is gone — delete the directive",
+				strings.Join(dir.checks, ",")),
 		})
 	}
 	return out
@@ -380,12 +296,10 @@ func All() []*Analyzer {
 		Determinism,
 		UnitFlow,
 		LedgerCheck,
-		StateCheck,
 		PathCheck,
 		FloatEq,
 		SelfCompare,
 		ErrCheck,
-		Allocheck,
 		StaleIgnore,
 	}
 }

@@ -110,169 +110,6 @@ func eq(a, b float64) bool {
 	}
 }
 
-// //lint:derived is sugar for an ignore scoped to statecheck; without a
-// reason it is malformed like any other directive.
-func TestDerivedDirectiveRequiresReason(t *testing.T) {
-	src := `package p
-
-//lint:derived
-var X = 1
-`
-	diags := checkSource(t, src, "example.com/p", nil)
-	if len(diags) != 1 || diags[0].Check != "lintdirective" {
-		t.Fatalf("want one lintdirective diagnostic, got %v", diags)
-	}
-	if !strings.Contains(diags[0].Message, "lint:derived") {
-		t.Fatalf("unexpected message: %s", diags[0].Message)
-	}
-}
-
-// A derived annotation on a field Restore actually covers is stale, and
-// staleignore says so in derived vocabulary.
-func TestStaleDerivedAnnotation(t *testing.T) {
-	src := `package p
-
-type State struct{ X int64 }
-
-type M struct {
-	//lint:derived fixture: x is actually serialized, so this is stale
-	x int64
-}
-
-func (m *M) Step() { m.x++ }
-
-func (m *M) Snapshot() State { return State{X: m.x} }
-
-func (m *M) Restore(st State) error {
-	m.x = st.X
-	return nil
-}
-`
-	diags := checkSource(t, src, "example.com/p", []*Analyzer{StateCheck, StaleIgnore})
-	if len(diags) != 1 || diags[0].Check != "staleignore" {
-		t.Fatalf("want one staleignore diagnostic, got %v", diags)
-	}
-	if !strings.Contains(diags[0].Message, "lint:derived annotation marks no un-snapshotted field") {
-		t.Fatalf("unexpected message: %s", diags[0].Message)
-	}
-}
-
-// A derived annotation doing real work both suppresses the statecheck
-// finding and is not stale.
-func TestDerivedAnnotationSuppresses(t *testing.T) {
-	src := `package p
-
-type State struct{ X int64 }
-
-type M struct {
-	x int64
-	//lint:derived scratch is rebuilt by Step before every read
-	scratch int64
-}
-
-func (m *M) Step() {
-	m.x++
-	m.scratch = m.x * 2
-}
-
-func (m *M) Snapshot() State { return State{X: m.x} }
-
-func (m *M) Restore(st State) error {
-	m.x = st.X
-	return nil
-}
-`
-	diags := checkSource(t, src, "example.com/p", []*Analyzer{StateCheck, StaleIgnore})
-	if len(diags) != 0 {
-		t.Fatalf("derived annotation must suppress and not be stale, got %v", diags)
-	}
-}
-
-// //lint:hotpath without a reason is malformed: the reason documents why the
-// function runs per frame.
-func TestHotpathDirectiveRequiresReason(t *testing.T) {
-	src := `package p
-
-//lint:hotpath
-func Step() {}
-`
-	diags := checkSource(t, src, "example.com/p", nil)
-	if len(diags) != 1 || diags[0].Check != "lintdirective" {
-		t.Fatalf("want one lintdirective diagnostic, got %v", diags)
-	}
-	if !strings.Contains(diags[0].Message, "lint:hotpath") {
-		t.Fatalf("unexpected message: %s", diags[0].Message)
-	}
-}
-
-// A hotpath annotation that sits on anything but a function declaration
-// resolves to no root; staleignore flags it in hotpath vocabulary.
-func TestMisplacedHotpathAnnotation(t *testing.T) {
-	src := `package p
-
-//lint:hotpath fixture: this marks a variable, not a function
-var X = 1
-
-func Step() {
-	_ = make([]byte, 8)
-}
-`
-	diags := checkSource(t, src, "example.com/p", []*Analyzer{Allocheck, StaleIgnore})
-	if len(diags) != 1 || diags[0].Check != "staleignore" {
-		t.Fatalf("want one staleignore diagnostic, got %v", diags)
-	}
-	if !strings.Contains(diags[0].Message, "lint:hotpath annotation marks no function declaration") {
-		t.Fatalf("unexpected message: %s", diags[0].Message)
-	}
-}
-
-// A hotpath root doing real work both seeds the allocheck cone and is not
-// stale.
-func TestHotpathRootSeedsConeAndIsNotStale(t *testing.T) {
-	src := `package p
-
-//lint:hotpath fixture: per-frame entry point
-func Step(n int) []byte {
-	return make([]byte, n)
-}
-`
-	diags := checkSource(t, src, "example.com/p", []*Analyzer{Allocheck, StaleIgnore})
-	if len(diags) != 1 || diags[0].Check != "allocheck" {
-		t.Fatalf("want one allocheck diagnostic and no staleness, got %v", diags)
-	}
-}
-
-// In a subset run without allocheck, hotpath roots are never resolved, so
-// staleignore must not flag them: applicability follows the directive's
-// checks list, exactly like lint:ignore allocheck directives.
-func TestHotpathAnnotationSafeInSubsetRuns(t *testing.T) {
-	src := `package p
-
-//lint:hotpath fixture: per-frame entry point
-func Step(n int) []byte {
-	return make([]byte, n)
-}
-`
-	diags := checkSource(t, src, "example.com/p", []*Analyzer{FloatEq, StaleIgnore})
-	if len(diags) != 0 {
-		t.Fatalf("subset run without allocheck must not report hotpath staleness, got %v", diags)
-	}
-}
-
-// Hotpath annotations are roots, not suppressions: an allocation on the
-// line they annotate stays reported.
-func TestHotpathAnnotationDoesNotSuppress(t *testing.T) {
-	src := `package p
-
-//lint:hotpath fixture: the directive must not vouch for this make
-func Step(n int) []byte { return make([]byte, n) }
-`
-	diags := checkSource(t, src, "example.com/p", []*Analyzer{Allocheck})
-	if len(diags) != 1 || diags[0].Check != "allocheck" {
-		t.Fatalf("hotpath annotation must not suppress adjacent findings, got %v", diags)
-	}
-}
-
 func TestByName(t *testing.T) {
 	for _, a := range All() {
 		if ByName(a.Name) != a {

@@ -182,8 +182,9 @@ type Writeback struct {
 
 	mabBuf []byte
 	gabBuf []byte
-	//lint:derived per-frame scan cursor, reset when ProcessFrame begins; dead between frames
-	curMab int // ordinal of the mab currently being processed
+	// curMab is the ordinal of the mab currently being processed; it is
+	// reset when ProcessFrame begins and dead between frames.
+	curMab int
 
 	// quantShift is the ABR quality response: how many low bits each
 	// decoded sample drops before hashing. Lower bitrate rungs carry
@@ -194,33 +195,35 @@ type Writeback struct {
 
 	// Shared digest tables, indexed by quant shift, installed by
 	// ShareDigests; a nil entry means the engine hashes frames itself into
-	// pre. fill hashes fillFrame into a table frame on first touch.
-	//lint:derived memo of a pure function of the trace's pixels, installed by ShareDigests; not simulation state, and a restored engine reads the same digests it would have hashed
-	tables [8]*trace.DigestTable
-	//lint:derived table fill callback built once by ShareDigests, so reading a table allocates nothing
-	fill func(digest []uint32, aux []uint16)
-	//lint:derived per-frame fill argument, set just before the table is read
+	// pre. fill hashes fillFrame into a table frame on first touch; it is
+	// built once by ShareDigests, so reading a table allocates nothing, and
+	// fillFrame is set just before the table is read. None of it is State:
+	// a table is a memo of a pure function of the trace's pixels, so a
+	// restored engine reads the same digests it would have hashed.
+	tables    [8]*trace.DigestTable
+	fill      func(digest []uint32, aux []uint16)
 	fillFrame *codec.Frame
 	// pre holds a self-hashing engine's per-frame prehash results.
 	pre prehash
 
-	// coalescing buffer fill levels and flush cursors
-	//lint:derived per-frame flush cursors, zeroed at the top of every ProcessFrame
+	// coalescing buffer fill levels and flush cursors, zeroed at the top of
+	// every ProcessFrame
 	contentFill, ptrFill, baseFill int
 
-	// Recycled per-frame objects. Both lists are scratch, not State: a
-	// restored engine simply starts with empty free lists and re-amortizes.
-	//lint:derived retired FrameLayouts handed back by the pipeline (Recycle); reused by the next ProcessFrame
+	// Recycled per-frame objects: the retired FrameLayouts the pipeline
+	// hands back (Recycle), reused by the next ProcessFrame, and the digest
+	// caches aged out of the frozen history, reset and reused as the next
+	// current MACH. Both lists are scratch, not State: a restored engine
+	// simply starts with empty free lists and re-amortizes.
 	freeLayouts []*framebuf.FrameLayout
-	//lint:derived digest caches aged out of the frozen history; reset and reused as the next current MACH
-	freeCaches []*digestCache
+	freeCaches  []*digestCache
 
 	// prehashWall accumulates host wall time spent in the prehash phase.
 	// It is measurement plumbing for the repository benchmark — never
 	// simulation state: it does not feed any simulated quantity, is
 	// excluded from Stats and State, and merely reading the host clock
-	// cannot perturb the virtual timeline.
-	//lint:derived host-clock benchmark instrumentation, not simulation state; a restored engine restarts the accumulator at zero
+	// cannot perturb the virtual timeline. A restored engine restarts the
+	// accumulator at zero.
 	prehashWall time.Duration
 }
 
@@ -232,7 +235,7 @@ func (w *Writeback) PrehashWall() time.Duration { return w.prehashWall }
 // Recycle hands a retired frame layout back to the engine for reuse. The
 // caller must guarantee nothing references the layout anymore: the pipeline
 // calls it only for layouts older than the MACH retention window, after the
-// decoder's reference table has dropped them.
+// decoder has retired them.
 func (w *Writeback) Recycle(l *framebuf.FrameLayout) {
 	if l == nil {
 		return
@@ -420,8 +423,6 @@ func (w *Writeback) flushPartial(fill *int, cursor *uint64, sink WriteSink) {
 // the frame's buffer slot (content area first, metadata after); dumpBase is
 // where the frozen-MACH dump will live. sink, when non-nil, receives every
 // line write. The returned layout is what the display controller consumes.
-//
-//lint:hotpath the per-frame MACH writeback: prehash plus serial classification of every mab
 func (w *Writeback) ProcessFrame(fr *codec.Frame, displayIndex int, bufferBase, dumpBase uint64, sink WriteSink) *framebuf.FrameLayout {
 	cfg := w.cfg
 	n := cfg.MabSize
@@ -436,7 +437,8 @@ func (w *Writeback) ProcessFrame(fr *codec.Frame, displayIndex int, bufferBase, 
 		w.freeLayouts = w.freeLayouts[:n-1]
 		*layout = framebuf.FrameLayout{Records: layout.Records[:0], Dump: layout.Dump[:0]}
 	} else {
-		//lint:ignore allocheck pool warm-up: layouts allocate until the pipeline's retire loop starts feeding Recycle; steady-state frames reuse retired layouts
+		// Pool warm-up: layouts allocate until the pipeline's retire loop
+		// starts feeding Recycle; steady-state frames reuse retired layouts.
 		layout = &framebuf.FrameLayout{Records: make([]framebuf.MabRecord, 0, numMabs)}
 	}
 	layout.Kind = cfg.Layout
@@ -460,7 +462,9 @@ func (w *Writeback) ProcessFrame(fr *codec.Frame, displayIndex int, bufferBase, 
 		w.freeCaches = w.freeCaches[:n-1]
 		w.current.reset()
 	} else {
-		//lint:ignore allocheck history warm-up: a fresh MACH is built until NumMACHs frames have aged caches into the free list; steady-state frames reset a recycled one
+		// History warm-up: a fresh MACH is built until NumMACHs frames have
+		// aged caches into the free list; steady-state frames reset a
+		// recycled one.
 		w.current = newDigestCachePolicy(cfg.EntriesPerMACH, cfg.Ways, cfg.Policy)
 	}
 	if cfg.CoMach {

@@ -89,8 +89,6 @@ type Generator struct {
 	cursor uint64 // next sequential address
 	// Accumulated fractional bytes owed from previous windows.
 	debt float64
-
-	Lines int64 // lines issued so far
 }
 
 // NewGenerator returns a generator, or an error for invalid configs.
@@ -115,12 +113,11 @@ type GeneratorState struct {
 	RNG    uint64
 	Cursor uint64
 	Debt   float64
-	Lines  int64
 }
 
 // Snapshot returns a copy of the generator's mutable state.
 func (g *Generator) Snapshot() GeneratorState {
-	return GeneratorState{RNG: g.rng, Cursor: g.cursor, Debt: g.debt, Lines: g.Lines}
+	return GeneratorState{RNG: g.rng, Cursor: g.cursor, Debt: g.debt}
 }
 
 // Restore overwrites the generator's mutable state from a snapshot.
@@ -128,7 +125,6 @@ func (g *Generator) Restore(st GeneratorState) {
 	g.rng = st.RNG
 	g.cursor = st.Cursor
 	g.debt = st.Debt
-	g.Lines = st.Lines
 }
 
 // Emit issues the background traffic covering the window [from, to) into
@@ -164,7 +160,6 @@ func (g *Generator) Emit(mem *dram.Memory, from, to sim.Time) {
 				g.cursor = g.cfg.Region
 			}
 			issued++
-			g.Lines++
 		}
 	}
 }
