@@ -40,6 +40,43 @@ func TestFig5RacingCutsActivates(t *testing.T) {
 	}
 }
 
+// TestFig12aMatchesSaturate checks Fig 12a on V2, V7 and V13: searching
+// more frozen MACHs finds more matches, but the gain saturates, the paper's
+// argument for stopping at 8, while every extra MACH keeps more frame
+// buffers alive. Under GAB(8) at 2, 4, 8 and 16 MACHs the match rate must
+// rise strictly, rise less from 8 to 16 than from 4 to 8, and the pool's
+// high-water mark must rise strictly.
+func TestFig12aMatchesSaturate(t *testing.T) {
+	counts := []int{2, 4, 8, 16}
+	for _, key := range []string{"V2", "V7", "V13"} {
+		tr := getTrace(t, key, 48)
+		rate := make([]float64, len(counts))
+		pool := make([]int, len(counts))
+		for i, n := range counts {
+			cfg := mach.DefaultConfig()
+			cfg.Mach.NumMACHs = n
+			res, err := mach.Run(tr, mach.GAB(8), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rate[i], pool[i] = res.Mach.MatchRate(), res.PoolHighWater
+		}
+		t.Logf("%s: match rate %.3f / %.3f / %.3f / %.3f, pool high water %v at %v MACHs",
+			key, rate[0], rate[1], rate[2], rate[3], pool, counts)
+		for i := 1; i < len(counts); i++ {
+			if rate[i] <= rate[i-1] {
+				t.Errorf("%s: match rate %.3f at %d MACHs, not above %.3f at %d", key, rate[i], counts[i], rate[i-1], counts[i-1])
+			}
+			if pool[i] <= pool[i-1] {
+				t.Errorf("%s: pool high water %d at %d MACHs, not above %d at %d", key, pool[i], counts[i], pool[i-1], counts[i-1])
+			}
+		}
+		if gain8, gain16 := rate[2]-rate[1], rate[3]-rate[2]; gain16 >= gain8 {
+			t.Errorf("%s: 8 to 16 MACHs gains %.3f, at least 4 to 8's %.3f: no saturation", key, gain16, gain8)
+		}
+	}
+}
+
 // TestFig12cMabSizeDeviation checks Fig 12c on V14 at the frame size
 // EXPERIMENTS.md reports, 320x180: 2x2 mabs save nothing, because per-mab
 // metadata outweighs what matching saves, and 16x16 saves less than 8x8,

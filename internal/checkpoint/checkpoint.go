@@ -35,8 +35,10 @@ import (
 )
 
 // Version is the current container format version. Bump on any
-// payload-incompatible change; Load rejects other versions.
-const Version = 1
+// payload-incompatible change; Load rejects other versions. Version 2:
+// frame layouts' digest records carry the content pointer the writeback
+// resolved when the frame's MACH froze, which a version-1 payload lacks.
+const Version = 2
 
 // MaxPayload bounds the payload a reader will allocate for (1 GiB). Real
 // checkpoints are kilobytes to low megabytes; anything near the cap is

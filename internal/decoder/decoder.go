@@ -325,21 +325,16 @@ func (ip *IP) refMabAddrs(l *framebuf.FrameLayout, mabX, mabY int, mv codec.Moti
 		for mx := firstMX; mx <= lastMX; mx++ {
 			cx := clampInt(mx, 0, mabsPerRow-1)
 			idx := cy*mabsPerRow + cx
-			rec := l.Records[idx]
 			switch l.Kind {
 			case framebuf.LayoutRaw:
 				content = append(content, l.BufferBase+uint64(idx*l.MabBytes))
 			default:
+				// The VD resolves a digest record in its on-chip frozen
+				// MACHs, with no memory access for the resolution itself,
+				// but the content still comes from wherever the matched
+				// copy lives: the record's Ptr, for every record kind.
 				meta = append(meta, l.MetaBase+uint64(idx*4))
-				ptr := rec.Ptr
-				if rec.Kind == framebuf.RecDigest {
-					// The VD resolves digests in its on-chip frozen MACHs;
-					// no memory access for the resolution itself, but the
-					// content still has to be fetched from wherever the
-					// matched copy lives.
-					ptr = l.ResolveDump(rec.Digest)
-				}
-				content = append(content, ptr)
+				content = append(content, l.Records[idx].Ptr)
 			}
 		}
 	}

@@ -35,11 +35,7 @@ func refMabAddrsDiv(l *framebuf.FrameLayout, mabX, mabY int, mv codec.MotionVect
 				content = append(content, l.BufferBase+uint64(idx*l.MabBytes))
 			default:
 				meta = append(meta, l.MetaBase+uint64(idx*4))
-				ptr := rec.Ptr
-				if rec.Kind == framebuf.RecDigest {
-					ptr = l.ResolveDump(rec.Digest)
-				}
-				content = append(content, ptr)
+				content = append(content, rec.Ptr)
 			}
 		}
 	}
@@ -68,8 +64,9 @@ func TestFloorDiv(t *testing.T) {
 
 // refLayouts returns a raw and a pointer+digest layout of a frame of
 // mabsPerRow x mabsPerCol mabs. The digest layout mixes full, pointer and
-// digest records; some digests are missing from the dump, so ResolveDump
-// falls back to the buffer base.
+// digest records, resolved the way the MACH writeback resolves them: a
+// digest in the dump points where its entry does, and the ones missing
+// from the dump fall back to the buffer base.
 func refLayouts(mabSize, mabsPerRow, mabsPerCol int) []*framebuf.FrameLayout {
 	n := mabsPerRow * mabsPerCol
 	mabBytes := mabSize * mabSize * codec.BytesPerPixel
@@ -85,9 +82,10 @@ func refLayouts(mabSize, mabsPerRow, mabsPerCol int) []*framebuf.FrameLayout {
 		case 1:
 			rec = framebuf.MabRecord{Kind: framebuf.RecPointer, Ptr: dig.BufferBase + uint64(i/2*mabBytes)}
 		case 2:
-			rec = framebuf.MabRecord{Kind: framebuf.RecDigest, Digest: uint32(1000 + i)}
+			rec = framebuf.MabRecord{Kind: framebuf.RecDigest, Ptr: dig.BufferBase, Digest: uint32(1000 + i)}
 			if i%4 != 0 {
-				dig.Dump = append(dig.Dump, framebuf.DumpEntry{Digest: uint32(1000 + i), Ptr: 0x5000_0000 + uint64(i)*7})
+				rec.Ptr = 0x5000_0000 + uint64(i)*7
+				dig.Dump = append(dig.Dump, framebuf.DumpEntry{Digest: rec.Digest, Ptr: rec.Ptr})
 			}
 		}
 		dig.Records = append(dig.Records, rec)

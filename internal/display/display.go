@@ -350,11 +350,11 @@ func (c *Controller) ScanOut(start sim.Time, l *framebuf.FrameLayout) int64 {
 					continue
 				}
 				c.stats.MachBufMisses++
-				// Fallback: re-read the dump to find the pointer, then
-				// fetch the content.
+				// Fallback: re-read the dump to find the pointer (the
+				// writeback resolved it into the record), then fetch the
+				// content.
 				c.readLine(at, l.DumpBase, false)
-				ptr := l.ResolveDump(rec.Digest)
-				c.readContent(at, ptr, l.MabBytes)
+				c.readContent(at, rec.Ptr, l.MabBytes)
 			default:
 				c.stats.PointerRecords++
 				c.readContent(at, rec.Ptr, l.MabBytes)

@@ -42,7 +42,7 @@ func refScanOut(c *Controller, start sim.Time, l *framebuf.FrameLayout) int64 {
 				}
 				c.stats.MachBufMisses++
 				c.readLine(at, l.DumpBase, false)
-				c.readContent(at, l.ResolveDump(rec.Digest), l.MabBytes)
+				c.readContent(at, rec.Ptr, l.MabBytes)
 			default:
 				c.stats.PointerRecords++
 				c.readContent(at, rec.Ptr, l.MabBytes)
@@ -67,8 +67,9 @@ func refScanOut(c *Controller, start sim.Time, l *framebuf.FrameLayout) int64 {
 }
 
 // scatteredLayout builds an n-record pointer layout whose content is spread
-// over many DRAM rows and banks, with digest records (some in the dump,
-// some not) under LayoutPtrDigest.
+// over many DRAM rows and banks, with digest records under LayoutPtrDigest,
+// resolved the way the MACH writeback resolves them: some in the dump,
+// pointing where their entry does, and the rest at the buffer base.
 func scatteredLayout(n int, kind framebuf.LayoutKind, gradient bool) *framebuf.FrameLayout {
 	l := &framebuf.FrameLayout{
 		Kind: kind, MabBytes: 48, Gradient: gradient,
@@ -79,9 +80,10 @@ func scatteredLayout(n int, kind framebuf.LayoutKind, gradient bool) *framebuf.F
 	for i := 0; i < n; i++ {
 		rec := framebuf.MabRecord{Kind: framebuf.RecFull, Ptr: l.BufferBase + uint64(i*4099%(1<<20))}
 		if kind == framebuf.LayoutPtrDigest && i%5 == 0 {
-			rec = framebuf.MabRecord{Kind: framebuf.RecDigest, Digest: uint32(i)}
+			rec = framebuf.MabRecord{Kind: framebuf.RecDigest, Ptr: l.BufferBase, Digest: uint32(i)}
 			if i%3 != 0 {
-				l.Dump = append(l.Dump, framebuf.DumpEntry{Digest: uint32(i), Ptr: l.BufferBase + uint64(i)*977})
+				rec.Ptr = l.BufferBase + uint64(i)*977
+				l.Dump = append(l.Dump, framebuf.DumpEntry{Digest: rec.Digest, Ptr: rec.Ptr})
 			}
 		}
 		l.Records = append(l.Records, rec)

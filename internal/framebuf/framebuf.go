@@ -8,6 +8,11 @@
 //	(iii) PtrDigest  — pointers mixed with digests plus a bitmap (§5.1), so
 //	                   inter-frame matches resolve in the display's MACH
 //	                   buffer without touching memory.
+//
+// The MACH writeback resolves every digest record's content address when
+// the frame's MACH freezes and stores it in the record, so the decoder and
+// the display read MabRecord.Ptr for every record kind; the layout's Dump
+// is what the display prefetches into its MACH buffer.
 package framebuf
 
 import (
@@ -50,7 +55,8 @@ const (
 	// (intra-match, or inter-match under LayoutPtr).
 	RecPointer
 	// RecDigest: inter-match under LayoutPtrDigest; the display resolves
-	// Digest in its MACH buffer.
+	// Digest in its MACH buffer, and Ptr holds the content address the
+	// frame's frozen MACH held for it.
 	RecDigest
 )
 
@@ -71,10 +77,16 @@ func (k RecordKind) String() string {
 // each record also streams a 3-byte base pixel (§4.3); its bytes are
 // accounted in FrameLayout.MetaBytes, but nothing downstream reads its
 // value, so the record does not carry it.
+//
+// Ptr is set for every kind. A RecDigest record's Ptr is written when the
+// frame's MACH freezes: the pointer that MACH held for Digest, or the
+// buffer base when the digest was evicted before the freeze. Kind and
+// Digest are omitted from JSON when zero (a full record carries neither),
+// which a decoder restores losslessly as zero.
 type MabRecord struct {
-	Kind   RecordKind
-	Ptr    uint64 // content address (RecFull, RecPointer)
-	Digest uint32 // content digest (RecDigest)
+	Kind   RecordKind `json:",omitempty"`
+	Ptr    uint64     // content address
+	Digest uint32     `json:",omitempty"` // content digest (RecDigest)
 }
 
 // DumpEntry is one element of a frame's frozen-MACH dump: the digest->pointer
@@ -103,21 +115,6 @@ type FrameLayout struct {
 	Dump         []DumpEntry
 }
 
-// ResolveDump returns the pointer of the first dump entry, in dump order,
-// carrying digest. A RecDigest record names a digest from a frozen MACH
-// whose dump is retained with the layout, but an inter match may point at
-// an earlier frame whose own dump produced the entry; the fallback is the
-// buffer base, a timing error of one line's worth of locality. The dump is
-// in MACH entry order, not sorted by digest, so the search is linear.
-func (l *FrameLayout) ResolveDump(digest uint32) uint64 {
-	for _, e := range l.Dump {
-		if e.Digest == digest {
-			return e.Ptr
-		}
-	}
-	return l.BufferBase
-}
-
 // TotalBytes returns content + metadata footprint.
 func (l *FrameLayout) TotalBytes() uint64 { return l.ContentBytes + l.MetaBytes }
 
@@ -141,9 +138,6 @@ func NewPool(base, slotBytes uint64) *Pool {
 	}
 	return &Pool{base: base, slotBytes: slotBytes, inUse: make(map[int]bool)}
 }
-
-// SlotBytes returns the per-slot capacity.
-func (p *Pool) SlotBytes() uint64 { return p.slotBytes }
 
 // Acquire returns a free slot id and its base address, growing the pool when
 // all existing slots are busy. The pipeline acquires one slot per decoded

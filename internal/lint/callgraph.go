@@ -39,8 +39,7 @@ type funcNode struct {
 	sig    *types.Signature
 	params []*types.Var // declared parameters in order (nil entries for _ / unnamed)
 
-	pass      *Pass     // engine pass of the owning package
-	enclosing *funcNode // lexical parent, for literals
+	pass *Pass // engine pass of the owning package
 
 	out []*funcNode // resolved callees + contained literals (deduplicated)
 	sum *summary    // computed by summarize (summary.go)
@@ -175,11 +174,10 @@ func (g *callGraph) collectLits(enclosing *funcNode, body *ast.BlockStmt) {
 		}
 		pos := g.pass.Fset.Position(lit.Pos())
 		n := &funcNode{
-			lit:       lit,
-			name:      fmt.Sprintf("func literal at %s:%d", pos.Filename, pos.Line),
-			body:      lit.Body,
-			pass:      g.pass,
-			enclosing: enclosing,
+			lit:  lit,
+			name: fmt.Sprintf("func literal at %s:%d", pos.Filename, pos.Line),
+			body: lit.Body,
+			pass: g.pass,
 		}
 		if tv, ok := g.pass.Info.Types[lit]; ok {
 			n.sig, _ = tv.Type.(*types.Signature)

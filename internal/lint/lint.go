@@ -94,7 +94,6 @@ const IgnorePrefix = "//lint:ignore"
 type ignoreDirective struct {
 	pos    token.Position
 	checks []string // "all" matches any check
-	reason string
 	// used records whether the directive suppressed at least one raw
 	// diagnostic in this run; StaleIgnore reports the ones that did not.
 	used bool
@@ -133,7 +132,6 @@ func parseDirectives(fset *token.FileSet, f *ast.File, report func(Diagnostic)) 
 			ds = append(ds, &ignoreDirective{
 				pos:    pos,
 				checks: strings.Split(fields[0], ","),
-				reason: strings.Join(fields[1:], " "),
 			})
 		}
 	}

@@ -178,6 +178,16 @@ func (r *refWriteback) frame(fr *codec.Frame, di int, bufferBase uint64) []frame
 	if cfg.Layout == framebuf.LayoutPtrDigest {
 		r.stats.MetaBytes += uint64(len(recs)+7) / 8 // pointer/digest bitmap
 		r.stats.DumpBytes += uint64(len(r.cur.m)) * 8
+		// A digest record points where this frame's own MACH, as it
+		// freezes, holds its digest, or at the buffer base once evicted.
+		for i := range recs {
+			if recs[i].Kind == framebuf.RecDigest {
+				recs[i].Ptr = bufferBase
+				if e := r.cur.m[uint64(recs[i].Digest)]; e != nil {
+					recs[i].Ptr = e.ptr
+				}
+			}
+		}
 	}
 	r.hist = append([]*refMACH{r.cur}, r.hist...)
 	r.hist = r.hist[:min(len(r.hist), cfg.NumMACHs)]
@@ -227,32 +237,42 @@ func refInputs(t *testing.T) []refInput {
 	return ins
 }
 
+// refCase is one engine configuration the reference tests run.
+type refCase struct {
+	name   string
+	cfg    Config
+	shifts []int // quant shift of frame i is shifts[i%len(shifts)]
+}
+
+func withConfig(f func(*Config)) Config { c := DefaultConfig(); f(&c); return c }
+
+// referenceCases are the configurations the naive model can check: LRU
+// replacement, with and without gab mode, CO-MACH, pointer aging and quant
+// shifts, under both MACH layouts.
+func referenceCases() []refCase {
+	return []refCase{
+		{"gab", DefaultConfig(), []int{0}},
+		{"mab", withConfig(func(c *Config) { c.Gradient = false }), []int{0}},
+		{"gab-comach", withConfig(func(c *Config) { c.CoMach = true }), []int{0}},
+		{"mab-comach", withConfig(func(c *Config) { c.Gradient = false; c.CoMach = true }), []int{0}},
+		{"gab-md5", withConfig(func(c *Config) { c.Digest = hashes.MD5 }), []int{0}},
+		{"gab-ptr", withConfig(func(c *Config) { c.Layout = framebuf.LayoutPtr }), []int{0}},
+		{"gab-aging", withConfig(func(c *Config) { c.NumMACHs = 2 }), []int{0}},
+		{"gab-shift2", DefaultConfig(), []int{2}},
+		{"mab-shifts", withConfig(func(c *Config) { c.Gradient = false }), []int{0, 1, 2, 3, 4}},
+		{"gab-comach-shifts", withConfig(func(c *Config) { c.CoMach = true }), []int{4, 3, 2, 1, 0}},
+	}
+}
+
 // TestWritebackMatchesReference runs the production engine beside the
 // naive model over every input and configuration, three ways: hashing
 // each frame itself, filling a cold digest table, and reading the warm one.
 // Every mab's record (kind, pointer, digest) must agree, and so must the
 // match counts and the content, metadata and dump bytes.
 func TestWritebackMatchesReference(t *testing.T) {
-	with := func(f func(*Config)) Config { c := DefaultConfig(); f(&c); return c }
-	cases := []struct {
-		name   string
-		cfg    Config
-		shifts []int // quant shift of frame i is shifts[i%len(shifts)]
-	}{
-		{"gab", DefaultConfig(), []int{0}},
-		{"mab", with(func(c *Config) { c.Gradient = false }), []int{0}},
-		{"gab-comach", with(func(c *Config) { c.CoMach = true }), []int{0}},
-		{"mab-comach", with(func(c *Config) { c.Gradient = false; c.CoMach = true }), []int{0}},
-		{"gab-md5", with(func(c *Config) { c.Digest = hashes.MD5 }), []int{0}},
-		{"gab-ptr", with(func(c *Config) { c.Layout = framebuf.LayoutPtr }), []int{0}},
-		{"gab-aging", with(func(c *Config) { c.NumMACHs = 2 }), []int{0}},
-		{"gab-shift2", DefaultConfig(), []int{2}},
-		{"mab-shifts", with(func(c *Config) { c.Gradient = false }), []int{0, 1, 2, 3, 4}},
-		{"gab-comach-shifts", with(func(c *Config) { c.CoMach = true }), []int{4, 3, 2, 1, 0}},
-	}
 	var aged int64
 	for _, in := range refInputs(t) {
-		for _, c := range cases {
+		for _, c := range referenceCases() {
 			ref := &refWriteback{cfg: c.cfg}
 			var want [][]framebuf.MabRecord
 			for i, f := range in.tr.Frames {

@@ -110,6 +110,19 @@ func (c *digestCache) lookup(digest uint32, aux uint16, useAux bool) (ptr uint64
 	return 0, 0, false, false
 }
 
+// peek returns the pointer stored for digest, ignoring the auxiliary hash,
+// without touching the replacement state: it reads a frozen MACH, whose
+// stamps and hit counts are part of the snapshot.
+func (c *digestCache) peek(digest uint32) (uint64, bool) {
+	base := c.setIndex(digest) * c.ways
+	for _, e := range c.entries[base : base+c.ways] {
+		if e.valid && e.digest == digest {
+			return e.ptr, true
+		}
+	}
+	return 0, false
+}
+
 // insert adds (digest, aux) -> (ptr, origin), evicting the set's victim
 // under the configured replacement policy.
 func (c *digestCache) insert(digest uint32, aux uint16, ptr uint64, origin int) {
@@ -158,6 +171,59 @@ func (c *digestCache) occupancy() int {
 		}
 	}
 	return n
+}
+
+// heldSet is a one-sided summary of the digests the frozen MACH history
+// holds: one bit per bucket of a multiplicative hash of the digest, 16
+// buckets per history entry (about 6% false positives when the history is
+// full). A clear bit proves that no frozen MACH holds the digest, so the
+// history walk can be skipped; a set bit proves nothing, and the walk runs.
+// It is derived from the history, never part of State, and rebuilt whole
+// whenever the history changes rather than maintained entry by entry.
+type heldSet struct {
+	bits  []uint64
+	shift uint // 32 minus log2 of the bucket count
+}
+
+// Bucket-count bounds: a word at least, and 128 KB at most however large
+// the history grows; the size changes only the false-positive rate.
+const (
+	heldMinLog2 = 6
+	heldMaxLog2 = 20
+)
+
+func newHeldSet(historyEntries int) heldSet {
+	lg := heldMinLog2
+	for lg < heldMaxLog2 && 1<<lg < 16*historyEntries {
+		lg++
+	}
+	return heldSet{bits: make([]uint64, 1<<lg/64), shift: uint(32 - lg)}
+}
+
+// bucket is the Fibonacci hash of digest into the bit array.
+func (h *heldSet) bucket(digest uint32) uint32 { return digest * 0x9E3779B1 >> h.shift }
+
+// mayHold reports whether some frozen MACH can hold digest.
+func (h *heldSet) mayHold(digest uint32) bool {
+	b := h.bucket(digest)
+	return h.bits[b>>6]&(1<<(b&63)) != 0
+}
+
+// rebuild clears the bits and sets one per valid entry of history. It is a
+// no-op for an engine without a summary (the raw layout never classifies).
+func (h *heldSet) rebuild(history []*digestCache) {
+	if h.bits == nil {
+		return
+	}
+	clear(h.bits)
+	for _, c := range history {
+		for i := range c.entries {
+			if e := &c.entries[i]; e.valid {
+				b := h.bucket(e.digest)
+				h.bits[b>>6] |= 1 << (b & 63)
+			}
+		}
+	}
 }
 
 // coMach is the collision cache of §6.3: fully tagged by the 48-bit deep

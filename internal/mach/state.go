@@ -141,6 +141,7 @@ func (w *Writeback) Restore(st State) error {
 		history = nil
 	}
 	w.history = history
+	w.held.rebuild(history)
 	w.stats = st.Stats
 	if cfg.TrackPopularity {
 		m := make(map[uint32]int64, len(st.Stats.DigestMatches))

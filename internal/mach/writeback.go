@@ -175,6 +175,7 @@ type Writeback struct {
 	cfg     Config
 	current *digestCache
 	history []*digestCache // newest first
+	held    heldSet        // which digests history may hold; rebuilt whenever history changes
 	co      *coMach        // reset empty at the top of every ProcessFrame (§6.3); no cross-frame state
 
 	stats  Stats
@@ -292,6 +293,9 @@ func NewWriteback(cfg Config) (*Writeback, error) {
 	}
 	if cfg.CoMach {
 		w.co = newCoMach(cfg.CoMachEntries, cfg.CoMachWays)
+	}
+	if cfg.Layout != framebuf.LayoutRaw {
+		w.held = newHeldSet(cfg.NumMACHs * cfg.EntriesPerMACH)
 	}
 	return w, nil
 }
@@ -570,10 +574,12 @@ func (w *Writeback) ProcessFrame(fr *codec.Frame, displayIndex int, bufferBase, 
 
 	layout.ContentBytes = contentOff
 
-	// Freeze this frame's MACH: dump it for the display (layout iii) and
-	// push it onto the history searched by subsequent frames.
+	// Freeze this frame's MACH: dump it for the display (layout iii),
+	// resolve the digest records against it, and push it onto the history
+	// searched by subsequent frames.
 	layout.Dump = w.current.dumpInto(layout.Dump[:0])
 	if cfg.Layout == framebuf.LayoutPtrDigest {
+		w.resolveDigests(layout)
 		dumpBytes := uint64(len(layout.Dump) * 8)
 		w.stats.DumpBytes += dumpBytes
 		for off := uint64(0); off < dumpBytes; off += uint64(cfg.LineBytes) {
@@ -593,11 +599,35 @@ func (w *Writeback) ProcessFrame(fr *codec.Frame, displayIndex int, bufferBase, 
 		}
 		copy(w.history[1:], w.history)
 		w.history[0] = w.current
+		w.held.rebuild(w.history)
 	} else {
 		w.freeCaches = append(w.freeCaches, w.current)
 	}
 	w.current = nil
 	return layout
+}
+
+// resolveDigests sets the Ptr of every digest record in l to the pointer the
+// frame's own MACH, frozen a moment ago, holds for the record's digest: the
+// content the decoder fetches for a reference and the display fetches when
+// its MACH buffer misses. A digest evicted from this frame's MACH before the
+// freeze is in no dump the layout carries, and falls back to the buffer
+// base, a timing error of one line's worth of locality. A MACH never holds
+// one digest twice (an insert follows a miss in the current MACH, and a
+// CO-MACH collision goes to CO-MACH), so the probe finds what a walk of the
+// dump would; it leaves the frozen MACH's replacement state untouched.
+func (w *Writeback) resolveDigests(l *framebuf.FrameLayout) {
+	for i := range l.Records {
+		rec := &l.Records[i]
+		if rec.Kind != framebuf.RecDigest {
+			continue
+		}
+		ptr, ok := w.current.peek(rec.Digest)
+		if !ok {
+			ptr = l.BufferBase
+		}
+		rec.Ptr = ptr
+	}
 }
 
 func (w *Writeback) processRaw(fr *codec.Frame, layout *framebuf.FrameLayout, sink WriteSink) {
@@ -651,6 +681,12 @@ const (
 // originates more than NumMACHs-1 frames back is rejected and the content
 // re-stored, which bounds how old a live frame-buffer reference can be and
 // so bounds the display's buffer retention window (§5.1, Fig 12a).
+//
+// The history walk runs only when the held-digest summary says some frozen
+// MACH may hold the digest. Skipping it is exact: a hit, an aged-out
+// rejection and a detected collision all need an entry with an equal
+// digest, which a clear bit rules out, and a lookup that misses changes
+// nothing.
 func (w *Writeback) match(digest uint32, aux uint16, displayIndex int) (uint64, int, matchKind) {
 	useAux := w.cfg.CoMach
 	if ptr, origin, hit, coll := w.current.lookup(digest, aux, useAux); hit {
@@ -658,15 +694,17 @@ func (w *Writeback) match(digest uint32, aux uint16, displayIndex int) (uint64, 
 	} else if coll {
 		w.stats.DetectedCollisions++
 	}
-	for _, h := range w.history {
-		if ptr, origin, hit, coll := h.lookup(digest, aux, useAux); hit {
-			if displayIndex-origin >= w.cfg.NumMACHs {
-				w.stats.AgedOut++
-				return 0, 0, matchNone
+	if w.held.mayHold(digest) {
+		for _, h := range w.history {
+			if ptr, origin, hit, coll := h.lookup(digest, aux, useAux); hit {
+				if displayIndex-origin >= w.cfg.NumMACHs {
+					w.stats.AgedOut++
+					return 0, 0, matchNone
+				}
+				return ptr, origin, matchInter
+			} else if coll {
+				w.stats.DetectedCollisions++
 			}
-			return ptr, origin, matchInter
-		} else if coll {
-			w.stats.DetectedCollisions++
 		}
 	}
 	if w.cfg.CoMach {
