@@ -1,10 +1,10 @@
-// Command machlint runs the repository's eight-analyzer static-analysis
-// suite (see internal/lint): determinism, unit dimensions, energy ledgers,
-// error checks, float equality and self-comparison invariants that keep the
-// simulation replayable and the energy accounting honest. The flow-sensitive checks (unitflow,
-// ledgercheck, pathcheck) run per-function CFGs so a unit mixed or an error
-// dropped three blocks after its definition is still caught, and
-// staleignore flags lint:ignore directives whose finding no longer exists.
+// Command machlint runs the repository's seven-analyzer static-analysis
+// suite (see internal/lint): determinism, unit dimensions, error checks,
+// float equality and self-comparison invariants that keep the simulation
+// replayable and its units honest. The flow-sensitive checks (unitflow,
+// pathcheck) run per-function CFGs so a unit mixed or an error dropped
+// three blocks after its definition is still caught, and staleignore flags
+// lint:ignore directives whose finding no longer exists.
 //
 // Usage:
 //
@@ -15,11 +15,7 @@
 //
 // With -json, diagnostics are emitted as one JSON array of objects with
 // "file", "line", "col", "analyzer" and "message" fields (empty array when
-// clean), for editors and CI problem matchers. With -timing, per-analyzer
-// wall time is reported: a table on stderr (so it composes with the
-// diagnostic stream), or a "timings" wrapper object in -json mode. The
-// "engine" row is the one-time call-graph and summary construction the
-// interprocedural analyzers share.
+// clean), for editors and CI problem matchers.
 //
 // Package patterns are accepted for familiarity but machlint always
 // analyzes the module containing the working directory as a whole: the
@@ -38,13 +34,6 @@ import (
 	"mach/internal/lint"
 )
 
-// jsonReport is the -json -timing wire shape: the plain diagnostic array
-// wrapped alongside per-analyzer wall times.
-type jsonReport struct {
-	Diagnostics []jsonDiagnostic      `json:"diagnostics"`
-	Timings     []lint.AnalyzerTiming `json:"timings"`
-}
-
 // jsonDiagnostic is the -json wire shape of one finding.
 type jsonDiagnostic struct {
 	File     string `json:"file"`
@@ -62,7 +51,6 @@ func run() int {
 	checks := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := flag.Bool("list", false, "list available checks and exit")
 	asJSON := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-	timing := flag.Bool("timing", false, "report per-analyzer wall time (stderr table, or a timings field with -json)")
 	flag.Parse()
 
 	if *list {
@@ -102,7 +90,7 @@ func run() int {
 		}
 	}
 
-	diags, timings := lint.RunAnalyzersTimed(fset, pkgs, analyzers)
+	diags := lint.RunAnalyzers(fset, pkgs, analyzers)
 	relName := func(name string) string {
 		if r, err := filepath.Rel(root, name); err == nil {
 			return r
@@ -122,22 +110,13 @@ func run() int {
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		var payload any = out
-		if *timing {
-			payload = jsonReport{Diagnostics: out, Timings: timings}
-		}
-		if err := enc.Encode(payload); err != nil {
+		if err := enc.Encode(out); err != nil {
 			fmt.Fprintf(os.Stderr, "machlint: %v\n", err)
 			return 2
 		}
 	} else {
 		for _, d := range diags {
 			fmt.Printf("%s:%d:%d: %s [%s]\n", relName(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Message, d.Check)
-		}
-		if *timing {
-			for _, tm := range timings {
-				fmt.Fprintf(os.Stderr, "machlint: timing %-12s %8.1fms\n", tm.Name, tm.Millis)
-			}
 		}
 	}
 	if len(diags) > 0 {

@@ -4,7 +4,6 @@
 package mach_test
 
 import (
-	"math"
 	"testing"
 
 	"mach"
@@ -82,27 +81,6 @@ func TestNoDropsWithRecipe(t *testing.T) {
 		if res.S3Residency() < 0.3 {
 			t.Errorf("%s: S3 residency %.2f too low for the recipe", key, res.S3Residency())
 		}
-	}
-}
-
-// TestEnergyConservation: the component breakdown must sum to the reported
-// total, and no component may be negative.
-func TestEnergyConservation(t *testing.T) {
-	tr := getTrace(t, "V7", 32)
-	res, err := mach.Run(tr, mach.GAB(4), mach.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, k := range res.Energy.Keys() {
-		v := res.Energy.Get(k)
-		if v < 0 {
-			t.Errorf("component %s negative: %g", k, v)
-		}
-		sum += v
-	}
-	if math.Abs(sum-res.TotalEnergy()) > 1e-9*sum {
-		t.Fatalf("components %.9g != total %.9g", sum, res.TotalEnergy())
 	}
 }
 

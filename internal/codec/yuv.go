@@ -2,10 +2,9 @@ package codec
 
 // Colour-space support. The paper assumes RGB frame buffers (Android
 // gralloc) but notes the technique "is generic and can be applied to all
-// the other color spaces (e.g., YUV, YCbCr)" (§4). These converters let the
+// the other color spaces (e.g., YUV, YCbCr)" (§4). This converter lets the
 // content-caching experiments verify that claim: YUV444 keeps the 3-byte
-// pixel layout (so every downstream component works unchanged), and YUV420
-// round-trips the subsampled planar form real decoders emit.
+// pixel layout, so every downstream component works unchanged.
 
 // clamp255 clamps the fixed-point conversion results.
 func clamp255(v int32) byte {
@@ -27,15 +26,6 @@ func rgbToYUV(r, g, b byte) (y, u, v byte) {
 	return clamp255(yy), clamp255(uu), clamp255(vv)
 }
 
-// yuvToRGB inverts rgbToYUV (within fixed-point rounding error).
-func yuvToRGB(y, u, v byte) (r, g, b byte) {
-	yi, ui, vi := int32(y), int32(u)-128, int32(v)-128
-	rr := yi + (359*vi)>>8
-	gg := yi - (88*ui+183*vi)>>8
-	bb := yi + (454*ui)>>8
-	return clamp255(rr), clamp255(gg), clamp255(bb)
-}
-
 // ToYUV444 converts an RGB frame to YUV444 with the same interleaved
 // 3-byte-per-pixel layout (byte order Y, U, V).
 func ToYUV444(f *Frame) *Frame {
@@ -45,79 +35,4 @@ func ToYUV444(f *Frame) *Frame {
 		out.Pix[i], out.Pix[i+1], out.Pix[i+2] = y, u, v
 	}
 	return out
-}
-
-// FromYUV444 converts a YUV444 frame back to RGB.
-func FromYUV444(f *Frame) *Frame {
-	out := NewFrame(f.W, f.H)
-	for i := 0; i < len(f.Pix); i += 3 {
-		r, g, b := yuvToRGB(f.Pix[i], f.Pix[i+1], f.Pix[i+2])
-		out.Pix[i], out.Pix[i+1], out.Pix[i+2] = r, g, b
-	}
-	return out
-}
-
-// YUV420 is a planar 4:2:0 image: full-resolution luma, quarter-resolution
-// chroma — the format hardware decoders actually emit before the display
-// pipeline converts to RGB.
-type YUV420 struct {
-	W, H   int
-	Y      []byte // W*H
-	Cb, Cr []byte // (W/2)*(H/2) each
-}
-
-// SizeBytes returns the planar footprint (1.5 bytes per pixel).
-func (p *YUV420) SizeBytes() int { return len(p.Y) + len(p.Cb) + len(p.Cr) }
-
-// ToYUV420 converts an RGB frame to planar 4:2:0 (chroma averaged over each
-// 2x2 block). W and H must be even.
-func ToYUV420(f *Frame) *YUV420 {
-	if f.W%2 != 0 || f.H%2 != 0 {
-		panic("codec: YUV420 needs even dimensions")
-	}
-	p := &YUV420{
-		W: f.W, H: f.H,
-		Y:  make([]byte, f.W*f.H),
-		Cb: make([]byte, f.W/2*f.H/2),
-		Cr: make([]byte, f.W/2*f.H/2),
-	}
-	for yy := 0; yy < f.H; yy++ {
-		for xx := 0; xx < f.W; xx++ {
-			r, g, b := f.At(xx, yy)
-			lum, _, _ := rgbToYUV(r, g, b)
-			p.Y[yy*f.W+xx] = lum
-		}
-	}
-	for cy := 0; cy < f.H/2; cy++ {
-		for cx := 0; cx < f.W/2; cx++ {
-			var su, sv int32
-			for dy := 0; dy < 2; dy++ {
-				for dx := 0; dx < 2; dx++ {
-					r, g, b := f.At(cx*2+dx, cy*2+dy)
-					_, u, v := rgbToYUV(r, g, b)
-					su += int32(u)
-					sv += int32(v)
-				}
-			}
-			p.Cb[cy*(f.W/2)+cx] = byte((su + 2) / 4)
-			p.Cr[cy*(f.W/2)+cx] = byte((sv + 2) / 4)
-		}
-	}
-	return p
-}
-
-// FromYUV420 converts planar 4:2:0 back to an RGB frame (chroma replicated
-// per 2x2 block).
-func FromYUV420(p *YUV420) *Frame {
-	f := NewFrame(p.W, p.H)
-	for yy := 0; yy < p.H; yy++ {
-		for xx := 0; xx < p.W; xx++ {
-			lum := p.Y[yy*p.W+xx]
-			u := p.Cb[(yy/2)*(p.W/2)+xx/2]
-			v := p.Cr[(yy/2)*(p.W/2)+xx/2]
-			r, g, b := yuvToRGB(lum, u, v)
-			f.Set(xx, yy, r, g, b)
-		}
-	}
-	return f
 }

@@ -26,6 +26,3 @@ func (p Picojoules) Joules() Joules { return Joules(float64(p) * 1e-12) }
 // Picojoules converts to the picojoule scale (reporting/debugging only —
 // the ledgers accumulate Joules).
 func (j Joules) Picojoules() Picojoules { return Picojoules(float64(j) * 1e12) }
-
-// Millijoules returns the mJ rendering used by the per-frame reports.
-func (j Joules) Millijoules() float64 { return float64(j) * 1e3 }

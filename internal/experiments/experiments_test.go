@@ -180,8 +180,6 @@ func TestFig12Sweeps(t *testing.T) {
 	checkTable(t, tb, err, "")
 	tb, err = r.Fig7a([]int{16, 64})
 	checkTable(t, tb, err, "")
-	tb, err = r.Fig2CDFPoints(r.Cfg.Videos[0], 5)
-	checkTable(t, tb, err, "")
 }
 
 func TestFleetExperiment(t *testing.T) {

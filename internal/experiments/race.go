@@ -116,20 +116,6 @@ func (r *Runner) Fig2() (*stats.Table, error) {
 	return tb, nil
 }
 
-// Fig2CDFPoints returns the baseline frame-time CDF itself (the curve of
-// Fig 2b) for one workload.
-func (r *Runner) Fig2CDFPoints(key string, points int) (*stats.Table, error) {
-	res, err := r.run(key, core.Baseline())
-	if err != nil {
-		return nil, err
-	}
-	tb := stats.NewTable("P", "frame-time-ms")
-	for _, p := range res.FrameTimes.CDF(points) {
-		tb.AddRow(fmt.Sprintf("%.2f", p.P), 1e3*p.X)
-	}
-	return tb, nil
-}
-
 // Fig4 reproduces the batch-size sweep (Fig 4a/4b): per-frame transition
 // count/energy and decoder-path energy versus batch depth, at both DVFS
 // points (Fig 4c/4d add racing).

@@ -115,9 +115,6 @@ type FrameLayout struct {
 	Dump         []DumpEntry
 }
 
-// TotalBytes returns content + metadata footprint.
-func (l *FrameLayout) TotalBytes() uint64 { return l.ContentBytes + l.MetaBytes }
-
 // Pool is the frame-buffer allocator. It mirrors the Android double/triple
 // buffering setup but can grow: the high-water mark is the measurement
 // behind Fig 12a ("extra frame buffers needed").

@@ -88,13 +88,6 @@ func TestLayoutStrings(t *testing.T) {
 	}
 }
 
-func TestFrameLayoutTotals(t *testing.T) {
-	l := FrameLayout{ContentBytes: 100, MetaBytes: 28}
-	if l.TotalBytes() != 128 {
-		t.Fatalf("total = %d", l.TotalBytes())
-	}
-}
-
 func TestRegionsDisjoint(t *testing.T) {
 	if !(RegionEncoded < RegionFrameBuffers && RegionFrameBuffers < RegionMachDumps) {
 		t.Fatal("regions must be ordered")

@@ -45,14 +45,6 @@ func (t *CollisionTracker) Observe(block []byte) bool {
 	return false
 }
 
-// CollisionRate returns collisions per observed block.
-func (t *CollisionTracker) CollisionRate() float64 {
-	if t.Blocks == 0 {
-		return 0
-	}
-	return float64(t.Collisions) / float64(t.Blocks)
-}
-
 // DeepCollisionTracker is the 48-bit (CRC32+CRC16) analogue used to verify
 // the CO-MACH design claim that deep digests remove collisions in practice.
 type DeepCollisionTracker struct {

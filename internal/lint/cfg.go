@@ -7,9 +7,9 @@ import (
 )
 
 // Control-flow graphs, built per function body over the plain AST. The
-// graphs feed the dataflow framework (dataflow.go) that unitflow,
-// ledgercheck and pathcheck run on: per-node AST heuristics cannot see that
-// an error is checked on one branch but overwritten on the other, or that a
+// graphs feed the dataflow framework (dataflow.go) that unitflow and
+// pathcheck run on: per-node AST heuristics cannot see that an error is
+// checked on one branch but overwritten on the other, or that a
 // joule-dimensioned local flows into a milliwatt comparison three blocks
 // later. Only the standard library is used, mirroring how the rest of the
 // framework avoids golang.org/x/tools.

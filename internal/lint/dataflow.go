@@ -10,9 +10,8 @@ import (
 // the flow-sensitive analyzers:
 //
 //   - a forward path explorer classifying every path from a definition
-//     (read first? redefined first? reached function exit unread?) —
-//     pathcheck's "unchecked on some path" and ledgercheck's dead-store
-//     detection are the two quantifiers over the same exploration;
+//     (read first? redefined first? reached function exit unread?), which
+//     pathcheck's "unchecked on some path" rule quantifies over;
 //   - a reaching-facts fixpoint propagating per-variable facts (unit
 //     dimensions) through blocks, with set-intersection meet at joins so a
 //     fact only survives when every incoming path agrees.

@@ -21,7 +21,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Diagnostic is one finding: a position, the check that produced it, and a
@@ -48,13 +47,6 @@ type Pass struct {
 
 	check  string
 	report func(Diagnostic)
-
-	// graph is the interprocedural layer (machlint v3): the package's
-	// resolved call graph with per-function summaries. RunAnalyzers builds
-	// it once per run; it is nil in unit tests that construct a Pass by
-	// hand, and every analyzer degrades to its intraprocedural behavior in
-	// that case.
-	graph *callGraph
 }
 
 // Reportf records a diagnostic at pos.
@@ -156,24 +148,9 @@ func suppressed(d Diagnostic, ds []*ignoreDirective) bool {
 	return hit
 }
 
-// AnalyzerTiming is the wall time one analyzer spent across every package
-// of a run (plus the "engine" pseudo-row for call-graph and summary
-// construction), surfaced by `machlint -timing`.
-type AnalyzerTiming struct {
-	Name   string  `json:"name"`
-	Millis float64 `json:"millis"`
-}
-
 // RunAnalyzers applies every analyzer to every package and returns the
 // surviving (non-suppressed) diagnostics sorted by position.
 func RunAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunAnalyzersTimed(fset, pkgs, analyzers)
-	return diags
-}
-
-// RunAnalyzersTimed is RunAnalyzers plus per-analyzer wall time: the engine
-// row first, then the analyzers in the order given.
-func RunAnalyzersTimed(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerTiming) {
 	var raw []Diagnostic
 	collect := func(d Diagnostic) { raw = append(raw, d) }
 
@@ -184,13 +161,9 @@ func RunAnalyzersTimed(fset *token.FileSet, pkgs []*Package, analyzers []*Analyz
 		}
 	}
 
-	engineStart := time.Now()
-	mod := buildModuleIndex(fset, pkgs)
-	spent := map[string]time.Duration{"engine": time.Since(engineStart)}
-
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			pass := &Pass{
+			a.Run(&Pass{
 				Fset:   fset,
 				Path:   pkg.Path,
 				Files:  pkg.Files,
@@ -198,17 +171,8 @@ func RunAnalyzersTimed(fset *token.FileSet, pkgs []*Package, analyzers []*Analyz
 				Info:   pkg.Info,
 				check:  a.Name,
 				report: collect,
-				graph:  mod.graphs[pkg.Path],
-			}
-			t0 := time.Now()
-			a.Run(pass)
-			spent[a.Name] += time.Since(t0)
+			})
 		}
-	}
-
-	timings := []AnalyzerTiming{{Name: "engine", Millis: float64(spent["engine"]) / float64(time.Millisecond)}}
-	for _, a := range analyzers {
-		timings = append(timings, AnalyzerTiming{Name: a.Name, Millis: float64(spent[a.Name]) / float64(time.Millisecond)})
 	}
 
 	var out []Diagnostic
@@ -231,7 +195,7 @@ func RunAnalyzersTimed(fset *token.FileSet, pkgs []*Package, analyzers []*Analyz
 		}
 		return a.Check < b.Check
 	})
-	return out, timings
+	return out
 }
 
 // StaleIgnore flags `//lint:ignore` directives that no longer suppress any
@@ -293,7 +257,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		UnitFlow,
-		LedgerCheck,
 		PathCheck,
 		FloatEq,
 		SelfCompare,

@@ -22,9 +22,9 @@ import (
 //     intersection at joins: a fact survives only when every path agrees);
 //   - explicit conversions to plain numeric types (float64(j) keeps j's
 //     dimension — the conversion changes representation, not meaning);
-//   - struct fields and function results, via their declared unit types;
-//   - call boundaries, via the callee's result type, falling back to the
-//     unit suffix of the callee's name;
+//   - struct fields and function results, via their declared unit types,
+//     and calls whose result is a plain number, via the unit suffix of the
+//     callee's name;
 //   - a name-suffix heuristic (energyPJ, busPs, …) for untyped locals,
 //     kept as the fallback for values no type ever touched.
 //
@@ -117,14 +117,10 @@ func suffixDim(name string) string {
 
 type unitflowRun struct {
 	pass *Pass
-	// graph enables the interprocedural cases (machlint v3): result
-	// dimensions of resolved callees, and parameter-dimension checks at
-	// call sites. Nil in unit tests that exercise the intraprocedural core.
-	graph *callGraph
 }
 
 func runUnitFlow(pass *Pass) {
-	u := &unitflowRun{pass: pass, graph: pass.graph}
+	u := &unitflowRun{pass: pass}
 
 	// Package-level initializers have no flow; check with an empty env.
 	for _, f := range pass.Files {
@@ -275,15 +271,8 @@ func (u *unitflowRun) dimOf(env factEnv, e ast.Expr) string {
 			}
 			return ""
 		}
-		// A real call: a resolved module callee's summary is authoritative
-		// for the dimension of a single plain-typed result — a Joules total
-		// returned through float64 keeps its dimension across the call. All
-		// dispatch targets must agree; a conflict means unknown.
-		if d, ok := u.calleeResultDim(e); ok {
-			return d
-		}
-		// Fall back to the unit suffix of the callee name
-		// (func totalPJ() float64 { … }). A conversion helper (nsFromPs)
+		// A real call with a plain result: the unit suffix of the callee
+		// name (func totalPJ() float64 { … }). A conversion helper (nsFromPs)
 		// is named after its input's unit, not its result's, so a name
 		// containing "From" suggests no dimension.
 		var name string
@@ -314,80 +303,6 @@ func (u *unitflowRun) dimOf(env factEnv, e ast.Expr) string {
 	return ""
 }
 
-// calleeResultDim resolves the dimension of a call's single result from the
-// summaries of its resolved module callees. ok is false when the call is
-// unresolved, multi-result, or the dispatch targets disagree.
-func (u *unitflowRun) calleeResultDim(call *ast.CallExpr) (string, bool) {
-	if u.graph == nil {
-		return "", false
-	}
-	targets := u.graph.calleesOf(call)
-	if len(targets) == 0 {
-		return "", false
-	}
-	dim := ""
-	for _, t := range targets {
-		if t.sum == nil || len(t.sum.resultDims) != 1 {
-			return "", false
-		}
-		d := t.sum.resultDims[0]
-		switch {
-		case d == "":
-			return "", false
-		case dim == "":
-			dim = d
-		case dim != d:
-			return "", false
-		}
-	}
-	return dim, true
-}
-
-// checkCallArgs compares each argument's dimension against the parameter
-// dimension the callee's summary inferred from its body (a plain float64
-// parameter added to Joules inside the callee expects joules at every call
-// site). All dispatch targets must agree on the expectation.
-func (u *unitflowRun) checkCallArgs(env factEnv, call *ast.CallExpr) {
-	if u.graph == nil {
-		return
-	}
-	targets := u.graph.calleesOf(call)
-	if len(targets) == 0 {
-		return
-	}
-	first := targets[0]
-	if first.sum == nil {
-		return
-	}
-	for k := range first.params {
-		want := ""
-		if k < len(first.sum.paramDims) {
-			want = first.sum.paramDims[k]
-		}
-		if want == "" {
-			continue
-		}
-		agreed := true
-		for _, t := range targets[1:] {
-			if t.sum == nil || k >= len(t.sum.paramDims) || t.sum.paramDims[k] != want {
-				agreed = false
-				break
-			}
-		}
-		if !agreed {
-			continue
-		}
-		for _, arg := range argsForParam(call, first, k) {
-			got := u.dimOf(env, arg)
-			if got == "" || got == want {
-				continue
-			}
-			u.pass.Reportf(arg.Pos(), "argument %s carries %s but %s uses this parameter as %s; convert through the unit types explicitly",
-				u.pass.ExprString(arg), got, first.name, want)
-		}
-	}
-}
-
 // checkNode inspects one CFG node's expressions under env, skipping func
 // literal bodies (they have their own graphs) and the body of a range
 // header node (its statements live in successor blocks).
@@ -408,8 +323,6 @@ func (u *unitflowRun) checkNode(env factEnv, n ast.Node) {
 			if (n.Tok == token.ADD_ASSIGN || n.Tok == token.SUB_ASSIGN) && len(n.Lhs) == 1 && len(n.Rhs) == 1 {
 				u.checkPair(env, n.TokPos, n.Tok.String(), n.Lhs[0], n.Rhs[0])
 			}
-		case *ast.CallExpr:
-			u.checkCallArgs(env, n)
 		}
 		return true
 	})

@@ -28,17 +28,3 @@ func ComputeGab(mab []byte, base *[3]byte, gab []byte) {
 		gab[i+2] = mab[i+2] - base[2]
 	}
 }
-
-// ReconstructFromGab inverts ComputeGab: mab[i] = gab[i] + base (mod 256).
-// The display controller performs this addition when resolving gab-mode
-// content (§4.4, "add the base back to each pixel to restore the mab").
-func ReconstructFromGab(gab []byte, base [3]byte, mab []byte) {
-	if len(mab) < len(gab) {
-		panic("mach: bad mab buffer size")
-	}
-	for i := 0; i < len(gab); i += 3 {
-		mab[i] = gab[i] + base[0]
-		mab[i+1] = gab[i+1] + base[1]
-		mab[i+2] = gab[i+2] + base[2]
-	}
-}

@@ -30,8 +30,8 @@ func (w Watts) Milliwatts() Milliwatts { return Milliwatts(float64(w) * 1000) }
 
 // Over integrates the power over a duration: the one legitimate product
 // that turns power into energy. Every ledger accumulation in this package
-// goes through it, which is what lets the ledgercheck analyzer enumerate
-// energy producers by name.
+// goes through it, and internal/core's TestEnergyComponentsSumToTotal holds
+// each ledger to its state's power times its residency.
 func (w Watts) Over(d sim.Time) energy.Joules {
 	return energy.Joules(float64(w) * d.Seconds())
 }

@@ -105,7 +105,10 @@ type Result struct {
 
 	CameraEnergy  energy.Joules
 	EncoderEnergy energy.Joules
-	WallTime      sim.Time
+	// EncoderBusyTime is the encoder's active time, the residency its
+	// energy is booked from.
+	EncoderBusyTime sim.Time
+	WallTime        sim.Time
 }
 
 // TotalEnergy returns camera + encoder + memory energy in joules.
@@ -215,6 +218,7 @@ func Run(cfg Config, profileKey string, w, h, numFrames int, seed int64) (*Resul
 		}
 		cycles += sim.Cycles(cfg.CyclesPerBit * float64(bits))
 		encTime := cfg.EncoderFreq.Cycles(cycles)
+		res.EncoderBusyTime += encTime
 		res.EncoderEnergy += cfg.EncoderPower.Over(encTime)
 
 		// Bitstream writeback.

@@ -1,9 +1,11 @@
 package record
 
 import (
+	"math"
 	"testing"
 
 	"mach/internal/framebuf"
+	"mach/internal/sim"
 )
 
 func TestValidate(t *testing.T) {
@@ -37,6 +39,26 @@ func TestRecordingRuns(t *testing.T) {
 	if res.TotalEnergy() <= 0 || res.WallTime <= 0 {
 		t.Fatal("energy/time must be positive")
 	}
+	checkLedgers(t, cfg, res)
+}
+
+// checkLedgers requires the camera and encoder energy to equal the
+// residency they are booked from, to a relative 1e-9: the camera streams
+// for one capture period per frame, the encoder for its busy time.
+func checkLedgers(t *testing.T, cfg Config, res *Result) {
+	t.Helper()
+	near := func(what string, got, want float64) {
+		t.Helper()
+		if math.Abs(got-want) > 1e-9*math.Max(math.Abs(got), math.Abs(want)) {
+			t.Errorf("%s is %.15g J, its residency says %.15g J", what, got, want)
+		}
+	}
+	period := sim.Time(int64(sim.Second) / int64(cfg.FPS))
+	near("camera energy", float64(res.CameraEnergy), float64(cfg.CameraPower.Over(period))*float64(res.Frames))
+	near("encoder energy", float64(res.EncoderEnergy), float64(cfg.EncoderPower.Over(res.EncoderBusyTime)))
+	if res.EncoderBusyTime <= 0 || res.EncoderBusyTime > res.WallTime {
+		t.Errorf("encoder busy for %v of a %v run", res.EncoderBusyTime, res.WallTime)
+	}
 }
 
 func TestMachReducesRecordingTraffic(t *testing.T) {
@@ -64,6 +86,8 @@ func TestMachReducesRecordingTraffic(t *testing.T) {
 	if b.Mach.MatchRate() != 0 {
 		t.Fatal("raw mode must not match")
 	}
+	checkLedgers(t, on, a)
+	checkLedgers(t, off, b)
 }
 
 func TestRecordingDeterminism(t *testing.T) {

@@ -82,26 +82,10 @@ const (
 	GHz Hertz = 1e9
 )
 
-// Period returns the duration of one clock cycle at frequency f.
-func (f Hertz) Period() Time {
-	if f <= 0 {
-		return Forever
-	}
-	return Time(float64(Second) / float64(f))
-}
-
 // Cycles returns the duration of n clock cycles at frequency f.
 func (f Hertz) Cycles(n Cycles) Time {
 	if f <= 0 {
 		return Forever
 	}
 	return Time(float64(n) * float64(Second) / float64(f))
-}
-
-// CyclesIn reports how many whole cycles at frequency f fit in d.
-func (f Hertz) CyclesIn(d Time) Cycles {
-	if d <= 0 {
-		return 0
-	}
-	return Cycles(float64(d) * float64(f) / float64(Second))
 }

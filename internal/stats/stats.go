@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness needs: running summaries, histograms, CDFs over collected samples,
-// and weighted breakdowns. Everything is deterministic and allocation-light.
+// harness needs: histograms, quantiles and CDFs over collected samples, and
+// weighted breakdowns. Everything is deterministic and allocation-light.
 package stats
 
 import (
@@ -9,69 +9,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Running accumulates count/mean/variance/min/max in a single pass
-// (Welford's algorithm).
-type Running struct {
-	n        int64
-	mean, m2 float64
-	min, max float64
-}
-
-// Add folds one sample into the summary.
-func (r *Running) Add(x float64) {
-	if r.n == 0 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	r.n++
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
-}
-
-// AddN folds n copies of x into the summary.
-func (r *Running) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		r.Add(x)
-	}
-}
-
-// N returns the number of samples.
-func (r *Running) N() int64 { return r.n }
-
-// Mean returns the sample mean, or 0 with no samples.
-func (r *Running) Mean() float64 { return r.mean }
-
-// Min returns the smallest sample, or 0 with no samples.
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest sample, or 0 with no samples.
-func (r *Running) Max() float64 { return r.max }
-
-// Variance returns the unbiased sample variance.
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// Sum returns mean*n.
-func (r *Running) Sum() float64 { return r.mean * float64(r.n) }
-
-func (r *Running) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g", r.n, r.Mean(), r.StdDev(), r.min, r.max)
-}
 
 // Sample is an in-memory collection of float64 observations supporting exact
 // quantiles and CDF extraction.
@@ -154,11 +91,6 @@ func (s *Sample) FractionAbove(x float64) float64 {
 	s.sort()
 	i := sort.SearchFloat64s(s.xs, math.Nextafter(x, math.Inf(1)))
 	return float64(len(s.xs)-i) / float64(len(s.xs))
-}
-
-// FractionBetween returns the fraction of observations x with lo < x <= hi.
-func (s *Sample) FractionBetween(lo, hi float64) float64 {
-	return s.FractionAbove(lo) - s.FractionAbove(hi)
 }
 
 // Summary is a JSON-stable quantile digest of a Sample: count, mean, and the
@@ -246,20 +178,6 @@ func (h *Histogram) Add(x float64) {
 // Total returns the number of recorded observations.
 func (h *Histogram) Total() int64 { return h.total }
 
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Fraction returns the share of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
 // Breakdown is a named, ordered set of non-negative components (for example
 // an energy split). Keys keep insertion order so reports are stable.
 type Breakdown struct {
@@ -294,15 +212,6 @@ func (b *Breakdown) Total() float64 {
 		t += b.vals[k]
 	}
 	return t
-}
-
-// Share returns component key as a fraction of the total (0 when empty).
-func (b *Breakdown) Share(key string) float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return b.vals[key] / t
 }
 
 // Scale multiplies every component by f, returning b.

@@ -4,55 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestRunning(t *testing.T) {
-	var r Running
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		r.Add(x)
-	}
-	if r.N() != 8 {
-		t.Fatalf("n = %d", r.N())
-	}
-	if r.Mean() != 5 {
-		t.Fatalf("mean = %v", r.Mean())
-	}
-	if got := r.StdDev(); math.Abs(got-2.13809) > 1e-4 {
-		t.Fatalf("sd = %v", got)
-	}
-	if r.Min() != 2 || r.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", r.Min(), r.Max())
-	}
-	if r.Sum() != 40 {
-		t.Fatalf("sum = %v", r.Sum())
-	}
-}
-
-func TestRunningMatchesDirectComputation(t *testing.T) {
-	f := func(xs []float64) bool {
-		var r Running
-		sum := 0.0
-		ok := true
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e100 {
-				ok = false
-				break
-			}
-			r.Add(x)
-			sum += x
-		}
-		if !ok || len(xs) == 0 {
-			return true
-		}
-		mean := sum / float64(len(xs))
-		scale := math.Max(1, math.Abs(mean))
-		return math.Abs(r.Mean()-mean) < 1e-6*scale
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestSampleQuantile(t *testing.T) {
 	s := NewSample(0)
@@ -83,9 +35,6 @@ func TestSampleFractions(t *testing.T) {
 	}
 	if got := s.FractionAbove(10); got != 0 {
 		t.Fatalf("above 10 = %v", got)
-	}
-	if got := s.FractionBetween(3, 7); math.Abs(got-0.4) > 1e-12 {
-		t.Fatalf("between (3,7] = %v", got)
 	}
 }
 
@@ -118,14 +67,8 @@ func TestHistogram(t *testing.T) {
 	if h.Total() != 12 {
 		t.Fatalf("total = %d", h.Total())
 	}
-	if h.Counts[0] != 3 || h.Counts[4] != 3 {
+	if h.Counts[0] != 3 || h.Counts[1] != 2 || h.Counts[4] != 3 {
 		t.Fatalf("counts = %v", h.Counts)
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Fatalf("center0 = %v", got)
-	}
-	if got := h.Fraction(1); got != 2.0/12 {
-		t.Fatalf("fraction = %v", got)
 	}
 }
 
@@ -139,9 +82,6 @@ func TestBreakdown(t *testing.T) {
 	}
 	if b.Get("mem") != 4 {
 		t.Fatalf("mem = %v", b.Get("mem"))
-	}
-	if b.Share("vd") != 0.2 {
-		t.Fatalf("share = %v", b.Share("vd"))
 	}
 	keys := b.Keys()
 	if len(keys) != 2 || keys[0] != "mem" || keys[1] != "vd" {

@@ -2,14 +2,14 @@
 // any future change reintroduces wall-clock time or global randomness into
 // the simulation packages, mixes unit-typed or unit-suffixed quantities
 // (including flow-sensitively, after the dimension went through float64),
-// drops or double-counts a produced joule, leaves an error unchecked on
-// some control-flow path, compares floats for equality, compares a value
-// with itself, drops an I/O error, or leaves a stale lint:ignore directive
-// behind. This is the same suite `go run ./cmd/machlint ./...` runs; see
-// internal/lint and the "Determinism & lint invariants" / "machlint v2"
-// sections of DESIGN.md. The per-frame step's allocation freedom and
-// checkpoint fidelity are checked dynamically instead, by internal/core's
-// TestStepFrameZeroAllocs and resume tests.
+// leaves an error unchecked on some control-flow path, compares floats for
+// equality, compares a value with itself, drops an I/O error, or leaves a
+// stale lint:ignore directive behind. This is the same suite
+// `go run ./cmd/machlint ./...` runs; see internal/lint and the
+// "Determinism & lint invariants" / "machlint v2" sections of DESIGN.md.
+// The per-frame step's allocation freedom, checkpoint fidelity and energy
+// accounting are checked dynamically instead, by internal/core's
+// TestStepFrameZeroAllocs, resume tests and TestEnergyComponentsSumToTotal.
 package mach
 
 import (
