@@ -11,10 +11,11 @@
 //	machsim -workload V1 -frames 2000 -checkpoint run.mckp -checkpoint-every 64
 //	machsim -workload V1 -frames 2000 -checkpoint run.mckp -resume
 //
-// Long runs can be made crash-safe with -checkpoint: the run state is
+// Long runs can be made crash-safe with -checkpoint: the frame cursor is
 // written atomically every -checkpoint-every frames and once more on
-// SIGINT/SIGTERM, and -resume continues from the file to a bit-identical
-// result (missing file = fresh start; damaged file = hard error).
+// SIGINT/SIGTERM, and -resume replays the run to it and continues to a
+// bit-identical result (missing file = fresh start; damaged file = hard
+// error).
 //
 // Exit codes: 0 success, 1 model/runtime error (including a corrupt
 // checkpoint), 2 invalid usage (bad flag values such as a width that is not

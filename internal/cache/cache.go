@@ -147,52 +147,6 @@ func (c *SetAssoc) Access(addr uint64, write bool) AccessResult {
 	return res
 }
 
-// LineState is the serializable mirror of one tag-store line, used by the
-// checkpoint snapshots (DESIGN.md "Checkpoint/Resume").
-type LineState struct {
-	Tag   uint64
-	Valid bool
-	Dirty bool
-	LRU   uint64
-}
-
-// State is the full serializable cache state: tag store, LRU clock, and
-// event counters. Geometry (sets/ways/line size) is construction-time
-// configuration and is not part of the state.
-type State struct {
-	Lines []LineState
-	Tick  uint64
-	Stats Stats
-}
-
-// Snapshot returns a copy of the cache's mutable state.
-func (c *SetAssoc) Snapshot() State {
-	st := State{
-		Lines: make([]LineState, len(c.lines)),
-		Tick:  c.tick,
-		Stats: c.stats,
-	}
-	for i, ln := range c.lines {
-		st.Lines[i] = LineState{Tag: ln.tag, Valid: ln.valid, Dirty: ln.dirty, LRU: ln.lru}
-	}
-	return st
-}
-
-// Restore overwrites the cache's mutable state from a snapshot taken on an
-// identically configured cache. The state may come from an untrusted file,
-// so shape mismatches are rejected rather than trusted.
-func (c *SetAssoc) Restore(st State) error {
-	if len(st.Lines) != len(c.lines) {
-		return fmt.Errorf("cache: snapshot has %d lines, cache has %d", len(st.Lines), len(c.lines))
-	}
-	for i, ln := range st.Lines {
-		c.lines[i] = line{tag: ln.Tag, valid: ln.Valid, dirty: ln.Dirty, lru: ln.LRU}
-	}
-	c.tick = st.Tick
-	c.stats = st.Stats
-	return nil
-}
-
 // LineSpan returns the first and last line-aligned addresses covered by the
 // byte range [addr, addr+size) plus the line count; lineSize is a power of
 // two. Iterating `for a := first; n > 0 && a <= last; a += lineSize` visits

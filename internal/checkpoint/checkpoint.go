@@ -35,9 +35,11 @@ import (
 )
 
 // Version is the current container format version. Bump on any
-// payload-incompatible change; Load rejects other versions. Version 2:
-// frame layouts' digest records carry the content pointer the writeback
-// resolved when the frame's MACH froze, which a version-1 payload lacks.
+// payload-incompatible change; Load rejects other versions. Version 2
+// added the resolved digest pointers of frame layouts to the simulation
+// payload, which a version-1 payload lacks. That payload is now the frame
+// cursor alone, which every version-2 payload carries, so the version
+// stands.
 const Version = 2
 
 // MaxPayload bounds the payload a reader will allocate for (1 GiB). Real

@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
 	"testing"
 
 	"mach/internal/abr"
@@ -174,68 +172,9 @@ func TestResumeBitIdenticalABR(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsBadABRState extends the semantic-corruption suite to the
-// ABR fields: out-of-range rungs, histogram shape drift, rung/quant-shift
-// disagreement, and ABR state injected into a config that does not run the
-// controller.
+// TestRestoreRejectsBadABRState runs the corrupt-payload cases on an ABR
+// run; its stepped runner is past the rung switch, so it carries rung state
+// that a restore must refuse to replay on top of.
 func TestRestoreRejectsBadABRState(t *testing.T) {
-	tr := testTrace(t, "V3", 32)
-	cfg := abrConfig("buffer", 3e5, 0)
-	r, err := NewRunner(tr, GAB(DefaultBatch), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r.Frame() < 26 { // past the rung switch: nonzero ABR state
-		r.StepFrame()
-	}
-	payload, err := r.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mutate := func(name string, target Config, f func(m map[string]json.RawMessage)) {
-		t.Run(name, func(t *testing.T) {
-			var m map[string]json.RawMessage
-			if err := json.Unmarshal(payload, &m); err != nil {
-				t.Fatal(err)
-			}
-			f(m)
-			mut, err := json.Marshal(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh, err := NewRunner(tr, GAB(DefaultBatch), target)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := fresh.Restore(mut); err == nil {
-				t.Error("corrupt ABR state accepted")
-			}
-		})
-	}
-	set := func(m map[string]json.RawMessage, k, v string) { m[k] = json.RawMessage(v) }
-
-	mutate("rung-out-of-range", cfg, func(m map[string]json.RawMessage) { set(m, "Rung", "99") })
-	mutate("negative-rung", cfg, func(m map[string]json.RawMessage) { set(m, "Rung", "-1") })
-	mutate("negative-switches", cfg, func(m map[string]json.RawMessage) { set(m, "RungSwitches", "-1") })
-	mutate("switches-above-frames", cfg, func(m map[string]json.RawMessage) { set(m, "RungSwitches", "999") })
-	mutate("histogram-length", cfg, func(m map[string]json.RawMessage) { set(m, "RungFrames", "[26]") })
-	mutate("histogram-negative", cfg, func(m map[string]json.RawMessage) {
-		set(m, "RungFrames", `[-1,27,0,0,0]`)
-	})
-	mutate("histogram-sum", cfg, func(m map[string]json.RawMessage) {
-		set(m, "RungFrames", `[1,1,1,1,1]`)
-	})
-	// The applied rung and the MACH quant shift travel together; a snapshot
-	// where they disagree must not resume (the hashes would diverge).
-	mutate("rung-shift-mismatch", cfg, func(m map[string]json.RawMessage) {
-		set(m, "Rung", "4") // top rung: quant shift 0, but Mach state says otherwise
-		set(m, "RungFrames", fmt.Sprintf("[0,0,0,0,%d]", 26))
-	})
-
-	// A checkpoint carrying ABR state must not restore into a config that
-	// does not run the controller.
-	plain := testConfig()
-	plain.Delivery = cfg.Delivery
-	mutate("abr-state-without-abr", plain, func(m map[string]json.RawMessage) {})
+	checkRestoreRejects(t, testTrace(t, "V3", 32), abrConfig("buffer", 3e5, 0), 26)
 }

@@ -25,18 +25,18 @@ type gridRow struct {
 	switches bool
 }
 
-// stepGrid is the one configuration table both per-frame invariants run
+// stepGrid is the one configuration table the per-frame invariants run
 // over: TestStepFrameZeroAllocs requires a steady-state StepFrame to
-// allocate nothing, and TestSnapshotDeterministic and
-// TestResumeBitIdenticalSchemes require a snapshot round trip and a resumed
-// run to be exact at every frame boundary. Its rows reach each branch a
-// configuration can select in the per-frame step: Baseline drops frames
-// (the display repeats the previous one), Fig 7a's configuration writes
-// back through the decode cache, SlackPredict and Adaptive carry
-// the runner's prediction and batch-pattern state, every digest function,
-// replacement policy and MACH mode is hashed and classified, the traffic
-// row emits background DRAM traffic, and the delivery rows rebuffer, shrink
-// batches and switch ABR rungs.
+// allocate nothing, TestResumeBitIdenticalSchemes requires a run resumed at
+// every frame boundary to equal the uninterrupted one, and
+// TestEnergyComponentsSumToTotal holds every joule to its ledger. Its rows
+// reach each branch a configuration can select in the per-frame step:
+// Baseline drops frames (the display repeats the previous one), Fig 7a's
+// configuration writes back through the decode cache, SlackPredict and
+// Adaptive carry the runner's prediction and batch-pattern state, every
+// digest function, replacement policy and MACH mode is hashed and
+// classified, the traffic row emits background DRAM traffic, and the
+// delivery rows rebuffer, shrink batches and switch ABR rungs.
 func stepGrid() []gridRow {
 	with := func(f func(*Config)) Config {
 		cfg := testConfig()

@@ -3,16 +3,18 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"reflect"
 	"testing"
+	"time"
 
 	"mach/internal/checkpoint"
 	"mach/internal/delivery"
+	"mach/internal/mach"
 	"mach/internal/trace"
 	"mach/internal/video"
 )
@@ -35,8 +37,8 @@ func runResumed(t *testing.T, tr *trace.Trace, s Scheme, cfg Config, cutAt int) 
 // freshly built Runner, and finishes the run on the new one; r1 is left as
 // it was. The round trip goes through the real container encode/decode so
 // the on-disk format is what is proven equivalent, and the restored Runner
-// must snapshot to the same bytes again, so no state is lost or reordered
-// by serialization itself.
+// must snapshot to the same bytes again, so the replay stops at the cursor
+// it was given.
 func resume(t *testing.T, r1 *Runner, tr *trace.Trace, s Scheme, cfg Config) *Result {
 	t.Helper()
 	payload, err := r1.Snapshot()
@@ -67,7 +69,7 @@ func resume(t *testing.T, r1 *Runner, tr *trace.Trace, s Scheme, cfg Config) *Re
 		t.Fatal(err)
 	}
 	if !bytes.Equal(again, payload) {
-		t.Errorf("frame %d: snapshot changed across a restore round trip (%v)", r1.Frame(), diffFields(t, payload, again))
+		t.Errorf("frame %d: snapshot changed across a restore round trip: %s, then %s", r1.Frame(), payload, again)
 	}
 	for !r2.Done() {
 		r2.StepFrame()
@@ -115,7 +117,7 @@ func TestResumeBitIdenticalGolden(t *testing.T) {
 // frame boundary, from before the first frame to after the last, and
 // requires each snapshot to survive a restore round trip and each resumed
 // run to match the uninterrupted one byte for byte. Per-frame sample
-// collection is on, so the Sample state round-trips too.
+// collection is on, so the replayed frame samples are compared too.
 func TestResumeBitIdenticalSchemes(t *testing.T) {
 	tr := testTrace(t, "V5", goldenFrames)
 	for _, row := range stepGrid() {
@@ -252,14 +254,22 @@ func TestResumeBitIdenticalParallel(t *testing.T) {
 	}
 }
 
-// TestSnapshotDeterministic requires identical snapshot bytes from two
-// identical runs, on every row of the step grid and at every frame
-// boundary. The restore round trip is checked by every resume (see resume).
+// TestSnapshotDeterministic steps two runners of every grid row in lockstep
+// and requires identical snapshot bytes and identical in-memory state at
+// every frame boundary. A restore replays the run to its cursor, so this
+// determinism is what makes the restored runner the uninterrupted one; the
+// state walk also reaches fields that never surface in a Result. Each row
+// builds its own trace, so its first runner fills the cold digest tables
+// and the second reads them: which engine hashed a frame must not show.
 func TestSnapshotDeterministic(t *testing.T) {
-	tr := testTrace(t, "V5", goldenFrames)
+	sc := video.StreamConfig{Width: 160, Height: 96, NumFrames: goldenFrames, Seed: 5, MabSize: 4, Quant: 8}
 	for _, row := range stepGrid() {
 		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
+			tr, err := BuildTrace("V5", sc)
+			if err != nil {
+				t.Fatal(err)
+			}
 			a, err := NewRunner(tr, row.s, row.cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -278,7 +288,11 @@ func TestSnapshotDeterministic(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(sa, sb) {
-					t.Errorf("frame %d: identical runs snapshot to different bytes (%v)", a.Frame(), diffFields(t, sa, sb))
+					t.Errorf("frame %d: identical runs snapshot to different bytes: %s, %s", a.Frame(), sa, sb)
+				}
+				seen := map[[2]uintptr]bool{}
+				if path, differ := stateDiff(reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem(), seen); differ {
+					t.Fatalf("frame %d: identical runs differ at Runner%s", a.Frame(), path)
 				}
 				if a.Done() {
 					break
@@ -290,35 +304,109 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 }
 
-// diffFields names the snapshot fields, down to the components' own, on
-// which two payloads differ.
-func diffFields(t *testing.T, a, b []byte) []string {
-	t.Helper()
-	var ma, mb map[string]json.RawMessage
-	if err := json.Unmarshal(a, &ma); err != nil {
-		t.Fatal(err)
+// hostDuration is the type of the host wall-clock counters (the MACH
+// prehash timer): they measure this process, not the simulated run.
+var hostDuration = reflect.TypeOf(time.Duration(0))
+
+// scratchFields are the buffers every use overwrites before reading. The
+// MACH engine hashes mabs through them, and over a shared digest table only
+// the first engine to reach a frame hashes it, so two engines over one
+// trace leave different bytes in them.
+var scratchFields = map[reflect.Type]map[string]bool{
+	reflect.TypeOf(mach.Writeback{}): {"mabBuf": true, "gabBuf": true},
+}
+
+// stateDiff walks a and b in step and reports the path of the first value
+// at which they differ. Functions are skipped, since a hook closes over its
+// own Runner, and so are host-time durations and scratch buffers. A pointer
+// both sides share, or a pointer pair already walked, is equal; floats
+// compare by bits.
+func stateDiff(a, b reflect.Value, seen map[[2]uintptr]bool) (string, bool) {
+	if a.Type() == hostDuration {
+		return "", false
 	}
-	if err := json.Unmarshal(b, &mb); err != nil {
-		t.Fatal(err)
-	}
-	var out []string
-	for k, v := range ma {
-		if bytes.Equal(v, mb[k]) {
-			continue
+	switch a.Kind() {
+	case reflect.Func:
+		return "", false
+	case reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return " (nil)", a.IsNil() != b.IsNil()
 		}
-		var ca, cb map[string]json.RawMessage
-		if json.Unmarshal(v, &ca) != nil || json.Unmarshal(mb[k], &cb) != nil {
-			out = append(out, k)
-			continue
+		if a.Elem().Type() != b.Elem().Type() {
+			return " (dynamic type)", true
 		}
-		for ck, cv := range ca {
-			if !bytes.Equal(cv, cb[ck]) {
-				out = append(out, k+"."+ck)
+		return stateDiff(a.Elem(), b.Elem(), seen)
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return " (nil)", a.IsNil() != b.IsNil()
+		}
+		key := [2]uintptr{a.Pointer(), b.Pointer()}
+		if key[0] == key[1] || seen[key] {
+			return "", false
+		}
+		seen[key] = true
+		return stateDiff(a.Elem(), b.Elem(), seen)
+	case reflect.Struct:
+		skip := scratchFields[a.Type()]
+		for i := range a.NumField() {
+			name := a.Type().Field(i).Name
+			if skip[name] {
+				continue
+			}
+			if path, differ := stateDiff(a.Field(i), b.Field(i), seen); differ {
+				return "." + name + path, true
 			}
 		}
+		return "", false
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return fmt.Sprintf(" (length %d, %d)", a.Len(), b.Len()), true
+		}
+		if a.Pointer() == b.Pointer() {
+			return "", false
+		}
+		fallthrough
+	case reflect.Array:
+		for i := range a.Len() {
+			if path, differ := stateDiff(a.Index(i), b.Index(i), seen); differ {
+				return fmt.Sprintf("[%d]%s", i, path), true
+			}
+		}
+		return "", false
+	case reflect.Map:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return fmt.Sprintf(" (size %d, %d)", a.Len(), b.Len()), true
+		}
+		for it := a.MapRange(); it.Next(); {
+			bv := b.MapIndex(it.Key())
+			if !bv.IsValid() {
+				return fmt.Sprintf("[%v] (missing)", it.Key()), true
+			}
+			if path, differ := stateDiff(it.Value(), bv, seen); differ {
+				return fmt.Sprintf("[%v]%s", it.Key(), path), true
+			}
+		}
+		return "", false
 	}
-	sort.Strings(out)
-	return out
+	var equal bool
+	switch {
+	case a.Kind() == reflect.Bool:
+		equal = a.Bool() == b.Bool()
+	case a.Kind() == reflect.String:
+		equal = a.String() == b.String()
+	case a.CanInt():
+		equal = a.Int() == b.Int()
+	case a.CanUint():
+		equal = a.Uint() == b.Uint()
+	case a.CanFloat():
+		equal = math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	default:
+		return fmt.Sprintf(" (no comparison for kind %s)", a.Kind()), true
+	}
+	if equal {
+		return "", false
+	}
+	return fmt.Sprintf(" = %v, %v", a, b), true
 }
 
 // TestSaveLoadCheckpoint exercises the file path end to end, including the
@@ -412,124 +500,57 @@ func TestLoadCheckpointCorrupt(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsSemanticCorruption mutates decoded payloads in ways the
-// container CRC cannot see (the attacker rewrites the CRC too) and requires
-// the structural validation in Restore to reject each one.
+// TestRestoreRejectsSemanticCorruption feeds Restore payloads the container
+// CRC cannot catch (the attacker rewrites the CRC too) and requires each to
+// be rejected; see checkRestoreRejects.
 func TestRestoreRejectsSemanticCorruption(t *testing.T) {
-	cfg := testConfig()
-	cfg.CollectFrameSamples = true
-	tr := testTrace(t, "V1", goldenFrames)
-	r, err := NewRunner(tr, GAB(DefaultBatch), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r.Frame() < 5 {
-		r.StepFrame()
-	}
-	payload, err := r.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	checkRestoreRejects(t, testTrace(t, "V1", goldenFrames), testConfig(), 5)
+}
 
-	mutate := func(name string, f func(m map[string]json.RawMessage)) {
-		t.Run(name, func(t *testing.T) {
-			var m map[string]json.RawMessage
-			if err := json.Unmarshal(payload, &m); err != nil {
-				t.Fatal(err)
-			}
-			f(m)
-			mut, err := json.Marshal(m)
+// checkRestoreRejects requires Restore to reject a cursor outside the
+// trace, a cursor that is not an integer, a payload that is not JSON, and a
+// valid cursor handed to a runner already stepped to frame stepped, where a
+// replay on top of the runner's state would be silently wrong. A rejected
+// payload must not move the runner.
+func checkRestoreRejects(t *testing.T, tr *trace.Trace, cfg Config, stepped int) {
+	t.Helper()
+	cases := []struct {
+		name    string
+		payload string
+		stepped int
+	}{
+		{"negative-frame", `{"Frame":-1}`, 0},
+		{"frame-past-end", fmt.Sprintf(`{"Frame":%d}`, len(tr.Frames)+1), 0},
+		{"non-integer-frame", `{"Frame":2.5}`, 0},
+		{"string-frame", `{"Frame":"2"}`, 0},
+		{"garbage", `zzz`, 0},
+		{"stepped-runner", fmt.Sprintf(`{"Frame":%d}`, stepped), stepped},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r, err := NewRunner(tr, GAB(DefaultBatch), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := NewRunner(tr, GAB(DefaultBatch), cfg)
-			if err != nil {
-				t.Fatal(err)
+			for r.Frame() < c.stepped {
+				r.StepFrame()
 			}
-			if err := fresh.Restore(mut); err == nil {
-				t.Error("semantically corrupt payload accepted")
+			if err := r.Restore([]byte(c.payload)); err == nil {
+				t.Errorf("payload %s accepted by a runner at frame %d", c.payload, c.stepped)
+			}
+			if r.Frame() != c.stepped {
+				t.Errorf("rejected restore moved the runner from frame %d to %d", c.stepped, r.Frame())
 			}
 		})
 	}
-	set := func(m map[string]json.RawMessage, k, v string) { m[k] = json.RawMessage(v) }
-
-	mutate("frame-past-end", func(m map[string]json.RawMessage) {
-		set(m, "Frame", fmt.Sprint(goldenFrames+1))
-		set(m, "BatchEnd", fmt.Sprint(goldenFrames+1))
-	})
-	mutate("frame-above-batch-end", func(m map[string]json.RawMessage) { set(m, "BatchEnd", "1") })
-	mutate("negative-batch-idx", func(m map[string]json.RawMessage) { set(m, "BatchIdx", "-1") })
-	mutate("negative-clock", func(m map[string]json.RawMessage) { set(m, "Now", "-5") })
-	mutate("insane-clock", func(m map[string]json.RawMessage) { set(m, "Now", "9000000000000000000") })
-	mutate("traffic-after-now", func(m map[string]json.RawMessage) { set(m, "TrafficFrom", "9000000000000000") })
-	mutate("release-count", func(m map[string]json.RawMessage) { set(m, "Releases", "[1,2]") })
-	mutate("sample-count", func(m map[string]json.RawMessage) { set(m, "FrameTimes", "[0.5]") })
-	mutate("drop-samples", func(m map[string]json.RawMessage) { delete(m, "FrameTimes") })
-	mutate("negative-drops", func(m map[string]json.RawMessage) { set(m, "Drops", "-1") })
-	mutate("bad-max-displayed", func(m map[string]json.RawMessage) { set(m, "MaxDisplayed", "-2") })
-	mutate("garbage", func(m map[string]json.RawMessage) { set(m, "Pool", `"zzz"`) })
-
-	mutate("free-of-unheld-slot", func(m map[string]json.RawMessage) {
-		set(m, "Frees", `[{"At":1,"Slot":4096}]`)
-	})
-	mutate("layout-records-shape", func(m map[string]json.RawMessage) {
-		var layouts []map[string]json.RawMessage
-		if err := json.Unmarshal(m["Layouts"], &layouts); err != nil || len(layouts) == 0 {
-			t.Skip("no layouts in snapshot")
-		}
-		set(layouts[0], "Records", "[]")
-		b, err := json.Marshal(layouts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m["Layouts"] = b
-	})
-	mutate("duplicate-layout", func(m map[string]json.RawMessage) {
-		var layouts []json.RawMessage
-		if err := json.Unmarshal(m["Layouts"], &layouts); err != nil || len(layouts) == 0 {
-			t.Skip("no layouts in snapshot")
-		}
-		layouts = append(layouts, layouts[0])
-		b, err := json.Marshal(layouts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m["Layouts"] = b
-	})
-	mutate("oversized-mach-history", func(m map[string]json.RawMessage) {
-		var ms map[string]json.RawMessage
-		if err := json.Unmarshal(m["Mach"], &ms); err != nil {
-			t.Fatal(err)
-		}
-		var hist []json.RawMessage
-		if err := json.Unmarshal(ms["History"], &hist); err != nil || len(hist) == 0 {
-			t.Skip("no MACH history in snapshot")
-		}
-		for i := 0; i < 64; i++ {
-			hist = append(hist, hist[0])
-		}
-		b, err := json.Marshal(hist)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ms["History"] = b
-		b, err = json.Marshal(ms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m["Mach"] = b
-	})
 }
 
 // FuzzCheckpointLoad feeds arbitrary bytes through the full untrusted-input
-// path — container decode, then structural restore, then (when accepted)
-// the rest of the run — and requires that nothing ever panics. Valid blobs
-// seed the corpus so mutation explores near-valid states, and the traffic
-// generator is disabled so a mutated clock cannot stretch one iteration
-// into minutes.
+// path — container decode, then cursor validation and replay, then (when
+// accepted) the rest of the run — and requires that nothing ever panics.
+// Valid blobs seed the corpus so mutation explores near-valid payloads.
 func FuzzCheckpointLoad(f *testing.F) {
 	cfg := testConfig()
-	cfg.Traffic.BytesPerSecond = 0
 	sc := video.StreamConfig{Width: 64, Height: 48, NumFrames: 4, Seed: 5, MabSize: 4, Quant: 8}
 	tr, err := BuildTrace("V1", sc)
 	if err != nil {

@@ -28,10 +28,9 @@ type pendingFree struct {
 
 // Runner is one pipeline run exposed as an explicit per-frame step machine.
 // Run drives it to completion in one call; the checkpoint/resume path (see
-// state.go) cuts the loop at any frame boundary instead: every piece of
-// cross-frame state lives in Runner fields, so a snapshot between StepFrame
-// calls captures the run exactly and a restored Runner continues
-// bit-identically.
+// state.go) cuts the loop at any frame boundary instead: a snapshot between
+// StepFrame calls records the frame cursor, and a restored Runner replays
+// the same (trace, scheme, config) up to it and continues bit-identically.
 type Runner struct {
 	tr  *trace.Trace
 	s   Scheme
@@ -67,7 +66,7 @@ type Runner struct {
 	traffic *soc.Generator
 	pool    *framebuf.Pool
 
-	// Mutable loop state (everything below round-trips through a snapshot).
+	// Mutable loop state.
 	res         *Result
 	now         sim.Time
 	trafficFrom sim.Time
@@ -94,16 +93,14 @@ type Runner struct {
 	rungSwitches int64
 	rungFrames   []int64
 
-	// finished is not snapshotted: a checkpoint taken at the finish line
-	// is pointless, and Restore rebuilds a runner that is mid-run by
-	// construction.
+	// finished is set by Finish; a checkpoint taken at the finish line is
+	// pointless, so Snapshot refuses it.
 	finished bool
 
 	// Persistent writeback hook handed to DecodeFrame every frame; the
 	// per-frame parameters travel through the wb* fields so StepFrame never
-	// captures a fresh closure environment. The arguments are not
-	// snapshotted: every StepFrame rewrites them before the decode call
-	// reads them.
+	// captures a fresh closure environment. Every StepFrame rewrites them
+	// before the decode call reads them.
 	wbHook             func(sink func(addr uint64, size int, mabOrdinal int)) *framebuf.FrameLayout
 	wbFrame            *codec.Frame
 	wbDisplayIndex     int

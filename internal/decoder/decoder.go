@@ -167,9 +167,9 @@ type IP struct {
 	older, newer *framebuf.FrameLayout
 
 	// Per-frame scratch, reused across DecodeFrame calls so the steady-state
-	// decode loop allocates nothing. All of it is dead between frames and
-	// stays out of State: mabDone is rewritten by every DecodeFrame, pending
-	// is reset by it, and the two address lists by every refMabAddrs call.
+	// decode loop allocates nothing. All of it is dead between frames:
+	// mabDone is rewritten by every DecodeFrame, pending is reset by it, and
+	// the two address lists by every refMabAddrs call.
 	mabDone                     []sim.Time
 	pending                     []pendingWrite
 	metaScratch, contentScratch []uint64
@@ -226,68 +226,6 @@ func (ip *IP) RetireLayout(displayIndex int) {
 	if ip.newer != nil && ip.newer.DisplayIndex == displayIndex {
 		ip.newer = nil
 	}
-}
-
-// State is the serializable mirror of the IP's cross-frame state: counters,
-// decode-cache contents, and the display indices of the anchor pair (-1 for
-// none). The anchor layouts themselves are restored separately: the
-// pipeline owns the layout objects and shares them with the IP by pointer.
-type State struct {
-	Stats       Stats
-	Cache       cache.State
-	OlderAnchor int
-	NewerAnchor int
-}
-
-// anchorIndex is the display index of an anchor, or -1 for none.
-func anchorIndex(l *framebuf.FrameLayout) int {
-	if l == nil {
-		return -1
-	}
-	return l.DisplayIndex
-}
-
-// Snapshot returns a copy of the IP's mutable state (see State).
-func (ip *IP) Snapshot() State {
-	return State{
-		Stats:       ip.stats,
-		Cache:       ip.cache.Snapshot(),
-		OlderAnchor: anchorIndex(ip.older),
-		NewerAnchor: anchorIndex(ip.newer),
-	}
-}
-
-// Restore overwrites the IP's mutable state from a snapshot taken on an
-// identically configured IP. layouts are the pipeline's live layouts, the
-// same objects it hands the display, so the restored anchors share them by
-// pointer exactly as the live pipeline does; an anchor index with no live
-// layout is an error.
-func (ip *IP) Restore(st State, layouts []*framebuf.FrameLayout) error {
-	find := func(d int) (*framebuf.FrameLayout, error) {
-		if d == -1 {
-			return nil, nil
-		}
-		for _, l := range layouts {
-			if l.DisplayIndex == d {
-				return l, nil
-			}
-		}
-		return nil, fmt.Errorf("decoder: anchor %d has no live layout", d)
-	}
-	older, err := find(st.OlderAnchor)
-	if err != nil {
-		return err
-	}
-	newer, err := find(st.NewerAnchor)
-	if err != nil {
-		return err
-	}
-	if err := ip.cache.Restore(st.Cache); err != nil {
-		return err
-	}
-	ip.stats = st.Stats
-	ip.older, ip.newer = older, newer
-	return nil
 }
 
 // cachedRead routes one line read through the decode cache; on a miss the

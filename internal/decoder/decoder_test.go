@@ -185,9 +185,6 @@ func TestRetireLayout(t *testing.T) {
 	if ip.newer != nil {
 		t.Fatal("newer anchor not retired")
 	}
-	if st := ip.Snapshot(); st.OlderAnchor != -1 || st.NewerAnchor != -1 {
-		t.Fatalf("retired anchors snapshot as %d/%d, want -1/-1", st.OlderAnchor, st.NewerAnchor)
-	}
 }
 
 func TestAnchorTracking(t *testing.T) {
@@ -200,19 +197,6 @@ func TestAnchorTracking(t *testing.T) {
 	ip.RegisterLayout(c, codec.FrameB) // B frames do not shift anchors
 	if ip.older != a || ip.newer != b {
 		t.Fatalf("anchors = %v/%v", ip.older, ip.newer)
-	}
-	// A restore finds the anchors among the live layouts by display index,
-	// and rejects an anchor with no live layout.
-	st := ip.Snapshot()
-	fresh := New(DefaultConfig(), testMem())
-	if err := fresh.Restore(st, []*framebuf.FrameLayout{c, b, a}); err != nil {
-		t.Fatal(err)
-	}
-	if fresh.older != a || fresh.newer != b {
-		t.Fatalf("restored anchors = %v/%v", fresh.older, fresh.newer)
-	}
-	if err := New(DefaultConfig(), testMem()).Restore(st, []*framebuf.FrameLayout{b}); err == nil {
-		t.Fatal("restore accepted an anchor with no live layout")
 	}
 }
 

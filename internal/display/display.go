@@ -156,63 +156,6 @@ func (c *Controller) Config() Config { return c.cfg }
 // Stats returns accumulated counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// MachBufEntryState is the serializable mirror of one MACH-buffer slot.
-type MachBufEntryState struct {
-	Digest uint32
-	Ptr    uint64
-	Valid  bool
-	LRU    uint64
-}
-
-// State is the serializable mirror of the controller's mutable state. DCache
-// is nil when the display cache is disabled, mirroring the configuration.
-type State struct {
-	DCache  *cache.State
-	MachBuf []MachBufEntryState
-	MBTick  uint64
-	Stats   Stats
-}
-
-// Snapshot returns a copy of the controller's mutable state.
-func (c *Controller) Snapshot() State {
-	st := State{MBTick: c.mbTick, Stats: c.stats}
-	if c.dcache != nil {
-		cs := c.dcache.Snapshot()
-		st.DCache = &cs
-	}
-	if c.machBuf != nil {
-		st.MachBuf = make([]MachBufEntryState, len(c.machBuf))
-		for i, e := range c.machBuf {
-			st.MachBuf[i] = MachBufEntryState{Digest: e.digest, Ptr: e.ptr, Valid: e.valid, LRU: e.lru}
-		}
-	}
-	return st
-}
-
-// Restore overwrites the controller's mutable state from a snapshot taken on
-// an identically configured controller; shape mismatches are rejected.
-func (c *Controller) Restore(st State) error {
-	if (st.DCache != nil) != (c.dcache != nil) {
-		return fmt.Errorf("display: snapshot display-cache presence %v, config wants %v",
-			st.DCache != nil, c.dcache != nil)
-	}
-	if len(st.MachBuf) != len(c.machBuf) {
-		return fmt.Errorf("display: snapshot MACH buffer has %d entries, config wants %d",
-			len(st.MachBuf), len(c.machBuf))
-	}
-	if c.dcache != nil {
-		if err := c.dcache.Restore(*st.DCache); err != nil {
-			return err
-		}
-	}
-	for i, e := range st.MachBuf {
-		c.machBuf[i] = machBufEntry{digest: e.Digest, ptr: e.Ptr, valid: e.Valid, lru: e.LRU}
-	}
-	c.mbTick = st.MBTick
-	c.stats = st.Stats
-	return nil
-}
-
 // mbLookup searches the MACH buffer by digest.
 func (c *Controller) mbLookup(digest uint32) (uint64, bool) {
 	if c.machBuf == nil {

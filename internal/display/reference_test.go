@@ -2,6 +2,7 @@ package display
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"mach/internal/dram"
@@ -123,11 +124,11 @@ func TestScanOutMatchesReference(t *testing.T) {
 			if g, w := got.Stats(), want.Stats(); g != w {
 				t.Fatalf("frame %d: stats %+v want %+v", i, g, w)
 			}
-			if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+			if !reflect.DeepEqual(got.dcache, want.dcache) || !slices.Equal(got.machBuf, want.machBuf) || got.mbTick != want.mbTick {
 				t.Fatalf("frame %d: display state differs", i)
 			}
-			if g, w := gotMem.Snapshot(), wantMem.Snapshot(); !reflect.DeepEqual(g, w) {
-				t.Fatalf("frame %d: memory state differs:\n got %+v\nwant %+v", i, g.Stats, w.Stats)
+			if !reflect.DeepEqual(gotMem, wantMem) {
+				t.Fatalf("frame %d: memory state differs:\n got %+v\nwant %+v", i, gotMem.Stats(), wantMem.Stats())
 			}
 			start += cfg.FramePeriod()
 		}

@@ -358,49 +358,3 @@ func (m *Memory) AccrueBackground(now sim.Time) {
 // EnergySnapshot returns the energy split accumulated so far. Background is
 // only up to date after AccrueBackground.
 func (m *Memory) EnergySnapshot() Energy { return m.energy }
-
-// BankState is the serializable mirror of one bank's row-buffer state.
-type BankState struct {
-	OpenRow     int64
-	FreeAt      sim.Time
-	LastUsed    sim.Time
-	RefreshedAt sim.Time
-}
-
-// State is the full serializable memory state: per-bank row buffers, the
-// command counters, the energy split, and the background-accrual cursor.
-type State struct {
-	Banks  []BankState
-	Stats  Stats
-	Energy Energy
-	BgFrom sim.Time
-}
-
-// Snapshot returns a copy of the pool's mutable state.
-func (m *Memory) Snapshot() State {
-	st := State{
-		Banks:  make([]BankState, len(m.banks)),
-		Stats:  m.stats,
-		Energy: m.energy,
-		BgFrom: m.bgFrom,
-	}
-	for i, b := range m.banks {
-		st.Banks[i] = BankState{OpenRow: b.openRow, FreeAt: b.freeAt, LastUsed: b.lastUsed, RefreshedAt: b.refreshedAt}
-	}
-	return st
-}
-
-// Restore overwrites the pool's mutable state from a snapshot taken on an
-// identically configured pool; a bank-count mismatch is rejected.
-func (m *Memory) Restore(st State) error {
-	if len(st.Banks) != len(m.banks) {
-		return fmt.Errorf("dram: snapshot has %d banks, pool has %d", len(st.Banks), len(m.banks))
-	}
-	for i, b := range st.Banks {
-		m.banks[i] = bank{openRow: b.OpenRow, freeAt: b.FreeAt, lastUsed: b.LastUsed, refreshedAt: b.RefreshedAt}
-	}
-	m.stats = st.Stats
-	m.energy = st.Energy
-	m.bgFrom = st.BgFrom
-	return nil
-}

@@ -1,7 +1,6 @@
 package dram
 
 import (
-	"reflect"
 	"testing"
 
 	"mach/internal/cache"
@@ -26,7 +25,12 @@ func TestValidate(t *testing.T) {
 		t.Fatal("3 channels should be rejected")
 	}
 	bad = good
-	bad.LineBytes = 48
+	bad.BanksPerRank = 0
+	if bad.Validate() == nil {
+		t.Fatal("zero banks per rank should be rejected")
+	}
+	bad = good
+	bad.LineBytes, bad.RowBytes = 48, 48*32 // a whole number of lines per row
 	if bad.Validate() == nil {
 		t.Fatal("non-power-of-two line should be rejected")
 	}
@@ -56,6 +60,12 @@ func TestValidate(t *testing.T) {
 	bad.RowBytes = 192
 	if bad.Validate() == nil {
 		t.Fatal("3 lines per row should be rejected")
+	}
+}
+
+func TestRowHitRateOfNoAccesses(t *testing.T) {
+	if r := (Stats{}).RowHitRate(); r != 0 {
+		t.Fatalf("row-hit rate of no accesses = %v, want 0", r)
 	}
 }
 
@@ -309,36 +319,5 @@ func TestMappingAffectsRowLocality(t *testing.T) {
 	}
 	if il < 0.8 {
 		t.Fatalf("RoCoRaBaCh strided sweep should mostly hit, hit rate %.2f", il)
-	}
-}
-
-func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	c := DefaultConfig()
-	replay := func(m *Memory, from int) sim.Time {
-		var now sim.Time
-		for i := from; i < from+500; i++ {
-			now = m.Access(sim.Time(i)*sim.FromNanoseconds(40), uint64(i*i)*64, i%3 == 0)
-		}
-		m.AccrueBackground(now)
-		return now
-	}
-	m := New(c)
-	replay(m, 0)
-	st := m.Snapshot()
-	replay(m, 500)
-
-	// A fresh pool restored from the snapshot continues identically.
-	r := New(c)
-	if err := r.Restore(st); err != nil {
-		t.Fatal(err)
-	}
-	replay(r, 500)
-	if !reflect.DeepEqual(r.Snapshot(), m.Snapshot()) {
-		t.Fatalf("restored pool diverged: %+v vs %+v", r.Stats(), m.Stats())
-	}
-
-	c.Channels = 1
-	if err := New(c).Restore(st); err == nil {
-		t.Fatal("a snapshot of another bank count must be rejected")
 	}
 }

@@ -15,10 +15,7 @@
 // is what the display prefetches into its MACH buffer.
 package framebuf
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // LayoutKind selects the frame-buffer memory layout.
 type LayoutKind int
@@ -80,13 +77,11 @@ func (k RecordKind) String() string {
 //
 // Ptr is set for every kind. A RecDigest record's Ptr is written when the
 // frame's MACH freezes: the pointer that MACH held for Digest, or the
-// buffer base when the digest was evicted before the freeze. Kind and
-// Digest are omitted from JSON when zero (a full record carries neither),
-// which a decoder restores losslessly as zero.
+// buffer base when the digest was evicted before the freeze.
 type MabRecord struct {
-	Kind   RecordKind `json:",omitempty"`
-	Ptr    uint64     // content address
-	Digest uint32     `json:",omitempty"` // content digest (RecDigest)
+	Kind   RecordKind
+	Ptr    uint64 // content address
+	Digest uint32 // content digest (RecDigest)
 }
 
 // DumpEntry is one element of a frame's frozen-MACH dump: the digest->pointer
@@ -166,66 +161,6 @@ func (p *Pool) Release(slot int) {
 	}
 	delete(p.inUse, slot)
 	p.free = append(p.free, slot)
-}
-
-// PoolState is the serializable mirror of a Pool's allocation state. Free
-// keeps its LIFO stack order (it decides which slot the next Acquire hands
-// out); InUse is sorted so snapshots of identical pools are byte-identical.
-type PoolState struct {
-	Free      []int
-	Next      int
-	InUse     []int
-	HighWater int
-}
-
-// Snapshot returns a copy of the pool's allocation state.
-func (p *Pool) Snapshot() PoolState {
-	st := PoolState{
-		Free:      append([]int(nil), p.free...),
-		Next:      p.next,
-		InUse:     make([]int, 0, len(p.inUse)),
-		HighWater: p.highWater,
-	}
-	for s := range p.inUse {
-		st.InUse = append(st.InUse, s)
-	}
-	sort.Ints(st.InUse)
-	return st
-}
-
-// Restore overwrites the pool's allocation state from a snapshot. The state
-// may come from an untrusted file, so the slot-accounting invariants Release
-// relies on (every slot below Next, no slot both free and in use) are
-// validated rather than trusted.
-func (p *Pool) Restore(st PoolState) error {
-	if st.Next < 0 {
-		return fmt.Errorf("framebuf: negative next-slot cursor %d", st.Next)
-	}
-	if len(st.Free)+len(st.InUse) > st.Next {
-		return fmt.Errorf("framebuf: %d free + %d in-use slots exceed %d ever allocated",
-			len(st.Free), len(st.InUse), st.Next)
-	}
-	seen := make(map[int]bool, len(st.Free)+len(st.InUse))
-	for _, s := range append(append([]int(nil), st.Free...), st.InUse...) {
-		if s < 0 || s >= st.Next {
-			return fmt.Errorf("framebuf: slot %d outside [0,%d)", s, st.Next)
-		}
-		if seen[s] {
-			return fmt.Errorf("framebuf: slot %d appears twice in the snapshot", s)
-		}
-		seen[s] = true
-	}
-	if st.HighWater < len(st.InUse) {
-		return fmt.Errorf("framebuf: high water %d below %d in-use slots", st.HighWater, len(st.InUse))
-	}
-	p.free = append([]int(nil), st.Free...)
-	p.next = st.Next
-	p.inUse = make(map[int]bool, len(st.InUse))
-	for _, s := range st.InUse {
-		p.inUse[s] = true
-	}
-	p.highWater = st.HighWater
-	return nil
 }
 
 // InUse returns the number of currently held slots.

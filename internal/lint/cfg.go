@@ -41,17 +41,6 @@ type funcCFG struct {
 	blocks      []*block
 }
 
-// preds computes the predecessor lists of every block (by block index).
-func (g *funcCFG) preds() [][]*block {
-	ps := make([][]*block, len(g.blocks))
-	for _, b := range g.blocks {
-		for _, s := range b.succs {
-			ps[s.index] = append(ps[s.index], b)
-		}
-	}
-	return ps
-}
-
 // labelInfo tracks one label: the block a goto jumps to, and — when the
 // label names a loop, switch or select — the blocks a labeled break or
 // continue targets.

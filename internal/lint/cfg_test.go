@@ -206,51 +206,6 @@ func f(t T) {
 	}
 }
 
-// TestPreds checks predecessor lists against the successor lists they
-// invert, on a diamond (if/else) graph.
-func TestPreds(t *testing.T) {
-	src := `package p
-
-func f(cond bool) int {
-	x := 0
-	if cond {
-		x = 1
-	} else {
-		x = 2
-	}
-	return x
-}
-`
-	pass := passFor(t, src)
-	g := buildCFG(pass, funcBody(t, pass, "f"))
-	ps := g.preds()
-	var succEdges, predEdges int
-	for _, b := range g.blocks {
-		succEdges += len(b.succs)
-		predEdges += len(ps[b.index])
-		for _, s := range b.succs {
-			found := false
-			for _, p := range ps[s.index] {
-				if p == b {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("block %d -> %d edge missing from preds", b.index, s.index)
-			}
-		}
-	}
-	if succEdges != predEdges {
-		t.Fatalf("edge count mismatch: %d succs vs %d preds", succEdges, predEdges)
-	}
-	if len(ps[g.entry.index]) != 0 {
-		t.Errorf("entry block must have no predecessors")
-	}
-	if len(ps[g.exit.index]) == 0 {
-		t.Errorf("exit block must be reachable")
-	}
-}
-
 // TestUnitFlowDimSources covers the dimension-inference corners: unary
 // operands, indexed suffixed slices, struct-field suffixes, callee-name
 // suffixes, and var-declaration propagation.
@@ -371,15 +326,6 @@ func TestDiagnosticString(t *testing.T) {
 	got := d.String()
 	if got != "file.go:3:7: mixes things [unitflow]" {
 		t.Fatalf("Diagnostic.String() = %q", got)
-	}
-}
-
-func TestIsAssignOp(t *testing.T) {
-	if !isAssignOp(token.ADD_ASSIGN) || !isAssignOp(token.AND_NOT_ASSIGN) {
-		t.Error("compound assignments must be assign ops")
-	}
-	if isAssignOp(token.ASSIGN) || isAssignOp(token.DEFINE) {
-		t.Error("plain = and := are not compound assign ops")
 	}
 }
 

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -95,8 +94,6 @@ func markWrites(n ast.Node, out map[*ast.Ident]bool) {
 
 // pathFates summarizes every path leaving a definition point.
 type pathFates struct {
-	// Read: at least one path reads the variable before redefining it.
-	Read bool
 	// UnreadRedef: some path overwrites the variable without reading it;
 	// the node performing the overwrite, for diagnostics.
 	UnreadRedef ast.Node
@@ -115,7 +112,6 @@ func explorePaths(pass *Pass, g *funcCFG, from *block, start int, v *types.Var) 
 		for j := idx; j < len(b.nodes); j++ {
 			n := b.nodes[j]
 			if nodeReads(pass, n, v) {
-				fates.Read = true
 				return
 			}
 			if nodeWrites(pass, n, v) {
@@ -287,14 +283,4 @@ func lhsVar(pass *Pass, e ast.Expr) *types.Var {
 	}
 	v, _ := pass.Info.ObjectOf(id).(*types.Var)
 	return v
-}
-
-// isAssignOp reports whether tok is a compound assignment (+=, -=, *=, …).
-func isAssignOp(tok token.Token) bool {
-	switch tok {
-	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN, token.REM_ASSIGN,
-		token.AND_ASSIGN, token.OR_ASSIGN, token.XOR_ASSIGN, token.SHL_ASSIGN, token.SHR_ASSIGN, token.AND_NOT_ASSIGN:
-		return true
-	}
-	return false
 }

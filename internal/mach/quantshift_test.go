@@ -83,34 +83,3 @@ func TestQuantShiftBounds(t *testing.T) {
 		}
 	}
 }
-
-// The shift is engine state: it must ride snapshots so a resumed run hashes
-// future frames exactly like the uninterrupted one.
-func TestQuantShiftSnapshotRoundTrip(t *testing.T) {
-	cfg := DefaultConfig()
-	wb, _ := NewWriteback(cfg)
-	wb.SetQuantShift(3)
-	stepFrames(t, wb, 0, 2)
-	snap := wb.Snapshot()
-	if snap.QuantShift != 3 {
-		t.Fatalf("snapshot quant shift %d, want 3", snap.QuantShift)
-	}
-
-	wb2, _ := NewWriteback(cfg)
-	if err := wb2.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if wb2.QuantShift() != 3 {
-		t.Fatalf("restored quant shift %d, want 3", wb2.QuantShift())
-	}
-	if !reflect.DeepEqual(stepFrames(t, wb, 2, 2), stepFrames(t, wb2, 2, 2)) {
-		t.Fatal("engines diverge after restoring a shifted snapshot")
-	}
-
-	bad := snap
-	bad.QuantShift = 9
-	fresh, _ := NewWriteback(cfg)
-	if err := fresh.Restore(bad); err == nil {
-		t.Fatal("out-of-range snapshot quant shift accepted")
-	}
-}

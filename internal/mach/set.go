@@ -112,7 +112,7 @@ func (c *digestCache) lookup(digest uint32, aux uint16, useAux bool) (ptr uint64
 
 // peek returns the pointer stored for digest, ignoring the auxiliary hash,
 // without touching the replacement state: it reads a frozen MACH, whose
-// stamps and hit counts are part of the snapshot.
+// stamps and hit counts stay as the freeze left them.
 func (c *digestCache) peek(digest uint32) (uint64, bool) {
 	base := c.setIndex(digest) * c.ways
 	for _, e := range c.entries[base : base+c.ways] {
@@ -178,8 +178,8 @@ func (c *digestCache) occupancy() int {
 // buckets per history entry (about 6% false positives when the history is
 // full). A clear bit proves that no frozen MACH holds the digest, so the
 // history walk can be skipped; a set bit proves nothing, and the walk runs.
-// It is derived from the history, never part of State, and rebuilt whole
-// whenever the history changes rather than maintained entry by entry.
+// It is derived from the history and rebuilt whole whenever the history
+// changes rather than maintained entry by entry.
 type heldSet struct {
 	bits  []uint64
 	shift uint // 32 minus log2 of the bucket count

@@ -191,16 +191,16 @@ type Writeback struct {
 	// decoded sample drops before hashing. Lower bitrate rungs carry
 	// coarser quantization, so their content is blurrier and more
 	// repetitive — match rates rise as quality falls. Set per rung switch
-	// by the pipeline; persists across frames and is part of State.
+	// by the pipeline; persists across frames.
 	quantShift int
 
 	// Shared digest tables, indexed by quant shift, installed by
 	// ShareDigests; a nil entry means the engine hashes frames itself into
 	// pre. fill hashes fillFrame into a table frame on first touch; it is
 	// built once by ShareDigests, so reading a table allocates nothing, and
-	// fillFrame is set just before the table is read. None of it is State:
-	// a table is a memo of a pure function of the trace's pixels, so a
-	// restored engine reads the same digests it would have hashed.
+	// fillFrame is set just before the table is read. A table is a memo of
+	// a pure function of the trace's pixels, so an engine reads the same
+	// digests whether it fills a table or finds it filled.
 	tables    [8]*trace.DigestTable
 	fill      func(digest []uint32, aux []uint16)
 	fillFrame *codec.Frame
@@ -214,17 +214,16 @@ type Writeback struct {
 	// Recycled per-frame objects: the retired FrameLayouts the pipeline
 	// hands back (Recycle), reused by the next ProcessFrame, and the digest
 	// caches aged out of the frozen history, reset and reused as the next
-	// current MACH. Both lists are scratch, not State: a restored engine
-	// simply starts with empty free lists and re-amortizes.
+	// current MACH. Both lists are scratch: a new engine simply starts
+	// with empty free lists and re-amortizes.
 	freeLayouts []*framebuf.FrameLayout
 	freeCaches  []*digestCache
 
 	// prehashWall accumulates host wall time spent in the prehash phase.
 	// It is measurement plumbing for the repository benchmark — never
 	// simulation state: it does not feed any simulated quantity, is
-	// excluded from Stats and State, and merely reading the host clock
-	// cannot perturb the virtual timeline. A restored engine restarts the
-	// accumulator at zero.
+	// excluded from Stats, and merely reading the host clock cannot
+	// perturb the virtual timeline.
 	prehashWall time.Duration
 }
 

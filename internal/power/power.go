@@ -202,53 +202,6 @@ func (l *Ledger) SpendIn(slack sim.Time, s State) {
 	}
 }
 
-// LedgerState is the serializable mirror of a Ledger's accumulators. The
-// configuration is not part of the state: a restored ledger keeps the
-// (possibly scheme-scaled) config it was constructed with.
-type LedgerState struct {
-	IdleTime       sim.Time
-	S1Time         sim.Time
-	S3Time         sim.Time
-	TransitionTime sim.Time
-
-	IdleEnergy  energy.Joules
-	S1Energy    energy.Joules
-	S3Energy    energy.Joules
-	TransEnergy energy.Joules
-
-	Transitions int64
-}
-
-// Snapshot returns a copy of the ledger's accumulators.
-func (l *Ledger) Snapshot() LedgerState {
-	return LedgerState{
-		IdleTime:       l.IdleTime,
-		S1Time:         l.S1Time,
-		S3Time:         l.S3Time,
-		TransitionTime: l.TransitionTime,
-		IdleEnergy:     l.IdleEnergy,
-		S1Energy:       l.S1Energy,
-		S3Energy:       l.S3Energy,
-		TransEnergy:    l.TransEnergy,
-		Transitions:    l.Transitions,
-	}
-}
-
-// Restore overwrites the accumulators from a snapshot. The values are plain
-// state moves (not newly produced energy), so the accounting invariant that
-// every joule lands in exactly one ledger is preserved across save/restore.
-func (l *Ledger) Restore(st LedgerState) {
-	l.IdleTime = st.IdleTime
-	l.S1Time = st.S1Time
-	l.S3Time = st.S3Time
-	l.TransitionTime = st.TransitionTime
-	l.IdleEnergy = st.IdleEnergy
-	l.S1Energy = st.S1Energy
-	l.S3Energy = st.S3Energy
-	l.TransEnergy = st.TransEnergy
-	l.Transitions = st.Transitions
-}
-
 // TransTime returns total time spent in transitions.
 func (l *Ledger) TransTime() sim.Time { return l.TransitionTime }
 

@@ -107,26 +107,6 @@ func (g *Generator) next() uint64 {
 	return z ^ z>>31
 }
 
-// GeneratorState is the serializable mirror of a Generator's mutable state
-// (the config is reconstructed, not serialized).
-type GeneratorState struct {
-	RNG    uint64
-	Cursor uint64
-	Debt   float64
-}
-
-// Snapshot returns a copy of the generator's mutable state.
-func (g *Generator) Snapshot() GeneratorState {
-	return GeneratorState{RNG: g.rng, Cursor: g.cursor, Debt: g.debt}
-}
-
-// Restore overwrites the generator's mutable state from a snapshot.
-func (g *Generator) Restore(st GeneratorState) {
-	g.rng = st.RNG
-	g.cursor = st.Cursor
-	g.debt = st.Debt
-}
-
 // Emit issues the background traffic covering the window [from, to) into
 // mem: bursts spread uniformly across the window at the configured
 // bandwidth. Fractional lines carry over to the next window so long runs

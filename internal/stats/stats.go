@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness needs: histograms, quantiles and CDFs over collected samples, and
+// harness needs: histograms and quantiles over collected samples, and
 // weighted breakdowns. Everything is deterministic and allocation-light.
 package stats
 
@@ -11,7 +11,7 @@ import (
 )
 
 // Sample is an in-memory collection of float64 observations supporting exact
-// quantiles and CDF extraction.
+// quantiles.
 type Sample struct {
 	xs     []float64
 	sorted bool
@@ -20,12 +20,6 @@ type Sample struct {
 // NewSample returns an empty sample with the given capacity hint.
 func NewSample(capacity int) *Sample {
 	return &Sample{xs: make([]float64, 0, capacity)}
-}
-
-// RestoreSample reconstructs a sample from previously collected values in
-// insertion order (the checkpoint/resume path); the slice is copied.
-func RestoreSample(values []float64) *Sample {
-	return &Sample{xs: append([]float64(nil), values...)}
 }
 
 // Add appends one observation.
@@ -122,28 +116,6 @@ func (s *Sample) Summarize() Summary {
 		P99:  s.Quantile(0.99),
 		Max:  s.Quantile(1),
 	}
-}
-
-// CDFPoint is one point of an empirical CDF: fraction P of observations are
-// <= X.
-type CDFPoint struct {
-	X float64
-	P float64
-}
-
-// CDF returns an n-point empirical CDF (n >= 2), evenly spaced in
-// probability, suitable for plotting the paper's Fig 2-style curves.
-func (s *Sample) CDF(n int) []CDFPoint {
-	if len(s.xs) == 0 || n < 2 {
-		return nil
-	}
-	s.sort()
-	out := make([]CDFPoint, n)
-	for i := 0; i < n; i++ {
-		p := float64(i) / float64(n-1)
-		out[i] = CDFPoint{X: s.Quantile(p), P: p}
-	}
-	return out
 }
 
 // Histogram counts observations in fixed-width bins over [Lo, Hi). Samples

@@ -38,25 +38,6 @@ func TestSampleFractions(t *testing.T) {
 	}
 }
 
-func TestSampleCDF(t *testing.T) {
-	s := NewSample(0)
-	for i := 0; i < 1000; i++ {
-		s.Add(float64(i))
-	}
-	cdf := s.CDF(11)
-	if len(cdf) != 11 {
-		t.Fatalf("len = %d", len(cdf))
-	}
-	if cdf[0].P != 0 || cdf[10].P != 1 {
-		t.Fatalf("endpoints %+v %+v", cdf[0], cdf[10])
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i].X < cdf[i-1].X {
-			t.Fatalf("CDF not monotone at %d", i)
-		}
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(0, 10, 5)
 	for i := 0; i < 10; i++ {

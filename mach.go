@@ -74,12 +74,13 @@ type (
 	ContentionStats = delivery.ContentionStats
 	// Runner is the per-frame step machine behind Run; drive it directly
 	// to checkpoint and resume long runs (see SaveCheckpoint /
-	// LoadCheckpoint).
+	// LoadCheckpoint). A checkpoint holds the frame cursor, and a resume
+	// replays the run to it.
 	Runner = core.Runner
 )
 
 // ErrCorruptCheckpoint wraps every checkpoint validation failure — bad
-// magic, version, fingerprint, CRC, or structural state — so callers can
+// magic, version, fingerprint, CRC, or frame cursor — so callers can
 // distinguish a damaged file from an I/O error with errors.Is.
 var ErrCorruptCheckpoint = checkpoint.ErrCorrupt
 
