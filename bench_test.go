@@ -357,7 +357,6 @@ func BenchmarkPipelineFrameGAB(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := mach.DefaultConfig()
-	cfg.CollectFrameSamples = false
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := mach.Run(tr, mach.GAB(mach.DefaultBatch), cfg)

@@ -8,7 +8,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 )
@@ -130,13 +129,13 @@ func runCommand(t *testing.T, want int, bin string, args ...string) (stdout, std
 	return p.stdout.String(), p.stderr.String()
 }
 
-// TestMachsimResumesAfterSIGTERM interrupts a checkpointed machsim run and
-// resumes it. SIGTERM must flush a checkpoint and exit 3, which proves the
-// signal landed mid-run; the resumed run must print the uninterrupted run's
+// TestMachsimResumesAfterSIGKILL kills a checkpointed machsim run without
+// ceremony once its first checkpoint is on disk, so the checkpoint is all
+// that survives. The resumed run must print the uninterrupted run's
 // canonical result byte for byte and remove the checkpoint; and the same
 // checkpoint with one payload byte flipped must be refused with exit 1,
 // never resumed or silently restarted.
-func TestMachsimResumesAfterSIGTERM(t *testing.T) {
+func TestMachsimResumesAfterSIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds machsim and runs it four times")
 	}
@@ -149,11 +148,11 @@ func TestMachsimResumesAfterSIGTERM(t *testing.T) {
 	args = append(args, "-checkpoint", ckpt)
 	p := startCommand(t, machsim, append(args, "-checkpoint-every", "4")...)
 	p.waitForFile(t, ckpt)
-	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := p.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	if code := p.wait(t); code != 3 {
-		t.Fatalf("interrupted run exited %d, want 3; stderr:\n%s", code, p.stderr.String())
+	if code := p.wait(t); code != -1 {
+		t.Fatalf("killed run exited %d before SIGKILL landed; stderr:\n%s", code, p.stderr.String())
 	}
 	saved, err := os.ReadFile(ckpt)
 	if err != nil {
@@ -241,18 +240,16 @@ func TestMachfleetResumesAfterSIGKILL(t *testing.T) {
 	}
 }
 
-// TestMachfleetContainsInjectedFaults drives both fault injectors to a
+// TestMachfleetContainsInjectedFaults drives the fault injector to a
 // contained exit 0: injected session panics are quarantined, identically
-// under two shard and worker topologies, and an injected stall is caught
-// by the watchdog and costs exactly one shard restart.
+// under two shard and worker topologies.
 func TestMachfleetContainsInjectedFaults(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds machfleet and runs it four times")
+		t.Skip("builds machfleet and runs it three times")
 	}
 	machfleet := buildCommand(t, t.TempDir(), "machfleet")
-	fleet := []string{"-frames", "24", "-width", "160", "-height", "96", "-workloads", "V1"}
-
-	panics := append([]string{"-sessions", "64", "-inject-panic-rate", "0.2", "-inject-panic-seed", "7"}, fleet...)
+	panics := []string{"-sessions", "64", "-inject-panic-rate", "0.2", "-inject-panic-seed", "7",
+		"-frames", "24", "-width", "160", "-height", "96", "-workloads", "V1"}
 	report, _ := runCommand(t, 0, machfleet, append(panics, "-shards", "4")...)
 	if !strings.Contains(report, "quarantined session") {
 		t.Errorf("no session quarantined at panic rate 0.2:\n%s", report)
@@ -263,14 +260,5 @@ func TestMachfleetContainsInjectedFaults(t *testing.T) {
 	b, _ := runCommand(t, 0, machfleet, append(panics, "-shards", "8", "-workers", "1", "-canonical")...)
 	if a != b {
 		t.Errorf("aggregates differ between 2 shards of 3 workers and 8 shards of 1:\n%s\n%s", a, b)
-	}
-
-	report, stderr := runCommand(t, 0, machfleet, append([]string{"-sessions", "32", "-shards", "4",
-		"-inject-stall-shard", "1", "-stall-deadline", "2s"}, fleet...)...)
-	if !strings.Contains(stderr, "stalled at session") {
-		t.Errorf("the watchdog logged no stall; stderr:\n%s", stderr)
-	}
-	if !strings.Contains(report, " 1 restarts") {
-		t.Errorf("want exactly one restart:\n%s", report)
 	}
 }

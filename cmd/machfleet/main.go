@@ -10,17 +10,17 @@
 //	machfleet -sessions 10000 -checkpoint-dir run.d -checkpoint-every 64
 //	machfleet -sessions 10000 -checkpoint-dir run.d -resume
 //	machfleet -sessions 64 -inject-panic-rate 0.05 -inject-panic-seed 7
-//	machfleet -sessions 64 -inject-stall-shard 2 -stall-deadline 2s
 //
 // Long runs are crash-safe with -checkpoint-dir: each shard writes its own
-// manifest atomically every -checkpoint-every sessions and the fleet resumes
-// bit-identically with -resume after a crash or SIGKILL (a missing manifest
-// restarts that shard; a damaged one is logged and recomputed). The aggregate
-// is invariant under -shards and -workers, so any topology resumes any other.
+// manifest atomically every -checkpoint-every sessions. To interrupt a run,
+// kill it; -resume then continues bit-identically from the manifests on
+// disk (a missing manifest restarts that shard; a damaged one is logged and
+// recomputed). The aggregate is invariant under -shards and -workers. A
+// resume may change -workers and -checkpoint-every; a changed -shards
+// recomputes every shard, since the manifests name their shard ranges.
 //
 // Exit codes: 0 success (injected faults contained included), 1 model or
-// runtime error, 2 invalid usage, 3 interrupted by SIGINT/SIGTERM with every
-// committed chunk flushed to the shard manifests — rerun with -resume.
+// runtime error, 2 invalid usage.
 package main
 
 import (
@@ -28,9 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"mach"
@@ -38,9 +36,8 @@ import (
 )
 
 const (
-	exitErr         = 1
-	exitUsage       = 2
-	exitInterrupted = 3
+	exitErr   = 1
+	exitUsage = 2
 )
 
 func main() {
@@ -67,14 +64,10 @@ func main() {
 		bandwidth = flag.Float64("bandwidth", 0, "override link bandwidth in Mbit/s (requires -net)")
 		abrPolicy = flag.String("abr", "", "adaptive-bitrate policy: fixed|buffer|throughput (requires -net)")
 
-		stallDeadline = flag.Duration("stall-deadline", 0, "watchdog no-progress deadline per shard (0 = watchdog off)")
-		maxRestarts   = flag.Int("max-restarts", 3, "watchdog restarts per shard before the run fails")
+		panicRate = flag.Float64("inject-panic-rate", 0, "fault injection: probability a session panics at start (quarantined, not fatal)")
+		panicSeed = flag.Int64("inject-panic-seed", 0, "fault injection: seed for the panic draw")
 
-		panicRate  = flag.Float64("inject-panic-rate", 0, "fault injection: probability a session panics at start (quarantined, not fatal)")
-		panicSeed  = flag.Int64("inject-panic-seed", 0, "fault injection: seed for the panic draw")
-		stallShard = flag.Int("inject-stall-shard", -1, "fault injection: stall this shard's first attempt until the watchdog restarts it (-1 = off)")
-
-		verbose = flag.Bool("v", false, "print per-quarantine detail and progress lines")
+		verbose = flag.Bool("v", false, "print the run's wall time after the report")
 	)
 	flag.Parse()
 
@@ -106,20 +99,8 @@ func main() {
 	if *horizon < 1 || *horizon > 1<<20 {
 		usage("-horizon %d: want a churn horizon in [1,%d]", *horizon, 1<<20)
 	}
-	if *stallDeadline < 0 {
-		usage("-stall-deadline %v: want a non-negative duration", *stallDeadline)
-	}
-	if *maxRestarts < 0 || *maxRestarts > 64 {
-		usage("-max-restarts %d: want a restart budget in [0,64]", *maxRestarts)
-	}
 	if *panicRate < 0 || *panicRate > 1 {
 		usage("-inject-panic-rate %g: want a probability in [0,1]", *panicRate)
-	}
-	if *stallShard >= *shards {
-		usage("-inject-stall-shard %d: fleet has shards 0..%d", *stallShard, *shards-1)
-	}
-	if *stallShard >= 0 && *stallDeadline == 0 {
-		usage("-inject-stall-shard needs -stall-deadline to arm the watchdog that clears the stall")
 	}
 
 	sc := cfg.Stream
@@ -192,42 +173,16 @@ func main() {
 	opts := fleet.RunOptions{
 		Dir:    *ckptDir,
 		Resume: *resume,
-		Watchdog: fleet.WatchdogConfig{
-			StallDeadline: *stallDeadline,
-			MaxRestarts:   *maxRestarts,
-		},
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
 	}
+	if *panicRate > 0 {
+		opts.Hooks = fleet.Injector{PanicRate: *panicRate, PanicSeed: *panicSeed}.Hooks()
+	}
 	start := time.Now()
-	opts.Clock = func() time.Duration { return time.Since(start) }
-	opts.Sleep = time.Sleep
-	if *panicRate > 0 || *stallShard >= 0 {
-		opts.Hooks = fleet.Injector{PanicRate: *panicRate, PanicSeed: *panicSeed, StallShard: *stallShard}.Hooks()
-	}
-
-	// With checkpointing on, SIGINT/SIGTERM means "flush and hand back": the
-	// in-flight chunks abort, every committed chunk is already in the shard
-	// manifests, and the exit code tells the harness to rerun with -resume.
-	if *ckptDir != "" {
-		stop := make(chan struct{})
-		sigc := make(chan os.Signal, 1)
-		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			<-sigc
-			close(stop)
-		}()
-		opts.Stop = stop
-	}
-
 	agg, err := sup.Run(opts)
-	switch {
-	case err == nil:
-	case errors.Is(err, fleet.ErrInterrupted):
-		fmt.Fprintf(os.Stderr, "machfleet: interrupted; shard manifests in %s (resume with -resume)\n", *ckptDir)
-		os.Exit(exitInterrupted)
-	default:
+	if err != nil {
 		fatal(err)
 	}
 

@@ -12,16 +12,15 @@
 //	machsim -workload V1 -frames 2000 -checkpoint run.mckp -resume
 //
 // Long runs can be made crash-safe with -checkpoint: the frame cursor is
-// written atomically every -checkpoint-every frames and once more on
-// SIGINT/SIGTERM, and -resume replays the run to it and continues to a
-// bit-identical result (missing file = fresh start; damaged file = hard
+// written atomically every -checkpoint-every frames. To interrupt a run,
+// kill it; -resume replays the run to the last cursor on disk and continues
+// to a bit-identical result (missing file = fresh start; damaged file = hard
 // error).
 //
 // Exit codes: 0 success, 1 model/runtime error (including a corrupt
 // checkpoint), 2 invalid usage (bad flag values such as a width that is not
 // a multiple of the mab size, an unknown workload/scheme key, or an unknown
-// network profile), 3 interrupted by SIGINT/SIGTERM with a final checkpoint
-// flushed — rerun with -resume to continue.
+// network profile).
 package main
 
 import (
@@ -30,17 +29,14 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"mach"
 	"mach/internal/stats"
 )
 
 const (
-	exitErr         = 1
-	exitUsage       = 2
-	exitInterrupted = 3
+	exitErr   = 1
+	exitUsage = 2
 )
 
 func main() {
@@ -53,9 +49,9 @@ func main() {
 		height   = flag.Int("height", 180, "frame height (multiple of the mab size)")
 		batch    = flag.Int("batch", mach.DefaultBatch, "batch depth for batching schemes")
 		seed     = flag.Int64("seed", 1, "workload generator seed")
-		verbose  = flag.Bool("v", false, "print the full per-run breakdown")
+		verbose  = flag.Bool("v", false, "print the full per-run breakdown (with -all)")
 
-		ckptPath  = flag.String("checkpoint", "", "checkpoint file: written atomically every -checkpoint-every frames and on SIGINT/SIGTERM, removed on success (single-scheme runs only)")
+		ckptPath  = flag.String("checkpoint", "", "checkpoint file: written atomically every -checkpoint-every frames, removed on success (single-scheme runs only)")
 		ckptEvery = flag.Int("checkpoint-every", 32, "frames between periodic checkpoints (with -checkpoint)")
 		resume    = flag.Bool("resume", false, "resume from -checkpoint; a missing file starts fresh, a damaged one is a hard error")
 		canonical = flag.Bool("canonical", false, "print the canonical JSON result instead of the report (stable across runs; used to prove resume equivalence)")
@@ -214,7 +210,7 @@ func main() {
 	}
 
 	// Single-scheme path: drive the step machine directly so the run can be
-	// checkpointed, interrupted, and resumed.
+	// checkpointed and resumed.
 	var runner *mach.Runner
 	if *resume {
 		runner, err = mach.LoadCheckpoint(*ckptPath, tr, s, cfg)
@@ -235,25 +231,7 @@ func main() {
 		}
 	}
 
-	// With checkpointing on, SIGINT/SIGTERM means "flush state and hand the
-	// terminal back": the signal is checked at the next frame boundary, a
-	// final checkpoint is written, and the process exits with a code the
-	// harness can tell apart from success and failure.
-	sigc := make(chan os.Signal, 1)
-	if *ckptPath != "" {
-		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	}
 	for !runner.Done() {
-		select {
-		case sig := <-sigc:
-			if err := runner.SaveCheckpoint(*ckptPath); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "machsim: %v at frame %d/%d; checkpoint written to %s (resume with -resume)\n",
-				sig, runner.Frame(), len(tr.Frames), *ckptPath)
-			os.Exit(exitInterrupted)
-		default:
-		}
 		runner.StepFrame()
 		if *ckptPath != "" && runner.Frame()%*ckptEvery == 0 {
 			if err := runner.SaveCheckpoint(*ckptPath); err != nil {
@@ -266,7 +244,6 @@ func main() {
 		fatal(err)
 	}
 	if *ckptPath != "" {
-		signal.Stop(sigc)
 		// The run completed; a stale checkpoint would only invite resuming
 		// a finished run.
 		if err := os.Remove(*ckptPath); err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -284,7 +261,6 @@ func main() {
 		return
 	}
 	fmt.Print(r)
-	_ = verbose
 }
 
 // usage reports an invalid invocation and exits with the usage code so

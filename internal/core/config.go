@@ -53,11 +53,6 @@ type Config struct {
 	// (3 = triple buffering, §2.1); batching and MACH retention grow the
 	// pool beyond it, which Fig 12a measures.
 	BaseBuffers int
-
-	// CollectFrameSamples records per-frame decode time samples for the
-	// Region I-IV split and CDF plots; disable for large sweeps to save
-	// memory.
-	CollectFrameSamples bool
 }
 
 // DefaultConfig returns the Table 2 platform with the calibrated cost
@@ -73,7 +68,6 @@ func DefaultConfig() Config {
 		Delivery:             delivery.DefaultConfig(), // LTE-class link, disabled
 		DisplayLatencyFrames: 1,
 		BaseBuffers:          3,
-		CollectFrameSamples:  true,
 	}
 }
 

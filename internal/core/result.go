@@ -38,8 +38,7 @@ type Result struct {
 
 	Transitions int64
 
-	// Per-frame decode times in seconds (Region analysis, Fig 2 CDFs);
-	// populated when Config.CollectFrameSamples is set.
+	// Per-frame decode times in seconds (Region analysis, Fig 2 CDFs).
 	FrameTimes *stats.Sample
 
 	// PoolHighWater is the peak number of simultaneously live frame

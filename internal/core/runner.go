@@ -279,9 +279,7 @@ func NewRunner(tr *trace.Trace, s Scheme, cfg Config) (*Runner, error) {
 		Frames:       len(tr.Frames),
 		Energy:       energy.NewBreakdown(),
 		StartupDelay: r.startup,
-	}
-	if cfg.CollectFrameSamples {
-		r.res.FrameTimes = stats.NewSample(len(tr.Frames))
+		FrameTimes:   stats.NewSample(len(tr.Frames)),
 	}
 	return r, nil
 }
@@ -479,9 +477,7 @@ func (r *Runner) StepFrame() {
 		}
 	}
 
-	if r.res.FrameTimes != nil {
-		r.res.FrameTimes.Add(fres.BusyTime.Seconds())
-	}
+	r.res.FrameTimes.Add(fres.BusyTime.Seconds())
 
 	// Display handover.
 	dt := r.displayTime(f.DisplayIndex)

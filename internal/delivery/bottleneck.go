@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mach/internal/hashes"
 	"mach/internal/sim"
 )
 
@@ -107,15 +108,6 @@ type ContentionStats struct {
 	CappedTransfers int64
 }
 
-// splitmix64 is the finalizer of the SplitMix64 generator: a bijective
-// avalanche mix used as the background-activity hash.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // activeSessions returns how many background sessions are active in the
 // given quantum: session s is active iff hash(seed, quantum, s) clears the
 // activity threshold. A pure function of its arguments — evaluation order
@@ -127,7 +119,7 @@ func (b Bottleneck) activeSessions(quantum int64) int {
 	}
 	n := 0
 	for s := 1; s < b.Sessions; s++ {
-		h := splitmix64(splitmix64(uint64(b.Seed)^uint64(quantum)*0x9e3779b97f4a7c15) + uint64(s))
+		h := hashes.SplitMix64(hashes.SplitMix64(uint64(b.Seed)^uint64(quantum)*0x9e3779b97f4a7c15) + uint64(s))
 		if h < threshold {
 			n++
 		}

@@ -31,8 +31,9 @@ type Aggregate struct {
 	Seed     int64  `json:"seed"`
 	Scheme   string `json:"scheme"`
 
-	// Completed + Quarantined partition the population; Restarts counts
-	// watchdog shard restarts over the run.
+	// Completed + Quarantined partition the population. Restarts is
+	// always 0: shards are never restarted within a run, and the key stays
+	// so the canonical JSON keeps its schema.
 	Completed   int                `json:"completed"`
 	Quarantined int                `json:"quarantined"`
 	Restarts    int                `json:"restarts"`
@@ -59,13 +60,12 @@ type Aggregate struct {
 // aggregate reduces the shards' committed outcomes. Shards own contiguous
 // ascending ranges, so walking them in shard order folds sessions in session
 // order — the float accumulation order is pinned.
-func (s *Supervisor) aggregate(shards []*shardRun, restarts int) *Aggregate {
+func (s *Supervisor) aggregate(shards []*shardRun) *Aggregate {
 	a := &Aggregate{
 		Format:          FormatVersion,
 		Sessions:        s.cfg.Sessions,
 		Seed:            s.cfg.Seed,
 		Scheme:          s.cfg.Scheme.Name,
-		Restarts:        restarts,
 		ProfileSessions: make(map[string]int, len(s.cfg.Profiles)),
 	}
 	for _, p := range s.plans {
@@ -137,8 +137,8 @@ func (a *Aggregate) CanonicalJSON() ([]byte, error) {
 // String renders a compact human report.
 func (a *Aggregate) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "fleet: %d sessions (%s, seed %d): %d completed, %d quarantined, %d restarts\n",
-		a.Sessions, a.Scheme, a.Seed, a.Completed, a.Quarantined, a.Restarts)
+	fmt.Fprintf(&sb, "fleet: %d sessions (%s, seed %d): %d completed, %d quarantined\n",
+		a.Sessions, a.Scheme, a.Seed, a.Completed, a.Quarantined)
 	fmt.Fprintf(&sb, "  energy/user: mean %.3f J  p50 %.3f  p90 %.3f  p99 %.3f\n",
 		a.EnergyJ.Mean, a.EnergyJ.P50, a.EnergyJ.P90, a.EnergyJ.P99)
 	fmt.Fprintf(&sb, "  drops/frame: mean %.4f  p99 %.4f   rebuffers/frame: mean %.4f  p99 %.4f\n",

@@ -9,13 +9,11 @@
 //
 //   - a panicking session is quarantined with its error recorded in the
 //     aggregate, never taking down its shard;
-//   - a stalled shard (no session progress within a deadline) is aborted and
-//     restarted from its last committed chunk with bounded exponential
-//     backoff before being declared failed;
-//   - every shard persists a manifest in the checkpoint container format
-//     (magic/version/fingerprint/CRC, atomic rename writes), so a SIGKILL'd
-//     fleet run resumes from the surviving shards to an aggregate
-//     bit-identical to an uninterrupted run.
+//   - every shard saves a manifest in the checkpoint container format
+//     (magic/version/fingerprint/CRC, atomic rename writes) at each
+//     committed chunk, so a killed fleet run resumes from the surviving
+//     shards to an aggregate bit-identical to an uninterrupted run. A kill
+//     is the only way to interrupt a run; there is no in-process stop.
 //
 // Everything a session does is a pure function of (Config, session index),
 // so the aggregate is invariant under shard count, worker count, and session
@@ -30,6 +28,7 @@ import (
 	"mach/internal/checkpoint"
 	"mach/internal/core"
 	"mach/internal/delivery"
+	"mach/internal/hashes"
 	"mach/internal/video"
 )
 
@@ -65,7 +64,7 @@ type Config struct {
 	Stream video.StreamConfig
 	// Platform is the device configuration template; per-session delivery
 	// seeds, bandwidth scales, and bottleneck cells are derived on top of
-	// it (sessionConfig), and frame-sample collection is forced off.
+	// it (sessionConfig).
 	Platform core.Config
 
 	// Profiles are the workload keys sessions draw from; empty selects all
@@ -84,8 +83,6 @@ type Config struct {
 
 // Default returns a small smoke-scale fleet over the headline GAB scheme.
 func Default() Config {
-	plat := core.DefaultConfig()
-	plat.CollectFrameSamples = false
 	return Config{
 		Sessions:        64,
 		Seed:            1,
@@ -94,7 +91,7 @@ func Default() Config {
 		CheckpointEvery: 16,
 		Scheme:          core.GAB(core.DefaultBatch),
 		Stream:          video.DefaultStreamConfig(),
-		Platform:        plat,
+		Platform:        core.DefaultConfig(),
 		CellSize:        8,
 		Horizon:         16,
 	}
@@ -171,20 +168,11 @@ type Plan struct {
 	Contenders int
 }
 
-// splitmix64 is the SplitMix64 finalizer, the same avalanche mix the
-// delivery bottleneck uses for hash-random access into its schedule.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // sessionHash returns the k-th derived word of session s's hash chain.
 func (c Config) sessionHash(s, k int) uint64 {
-	h := splitmix64(uint64(c.Seed) ^ uint64(s)*0x9e3779b97f4a7c15)
+	h := hashes.SplitMix64(uint64(c.Seed) ^ uint64(s)*0x9e3779b97f4a7c15)
 	for i := 0; i <= k; i++ {
-		h = splitmix64(h)
+		h = hashes.SplitMix64(h)
 	}
 	return h
 }
@@ -192,7 +180,7 @@ func (c Config) sessionHash(s, k int) uint64 {
 // cellSeed derives the shared bottleneck seed for one cell, so every member
 // of the cell observes the same background-activity schedule.
 func (c Config) cellSeed(cell int) int64 {
-	return int64(splitmix64(uint64(c.Seed)^0xf1ee7^uint64(cell)*0x9e3779b97f4a7c15) >> 1)
+	return int64(hashes.SplitMix64(uint64(c.Seed)^0xf1ee7^uint64(cell)*0x9e3779b97f4a7c15) >> 1)
 }
 
 // Plans derives every session's plan. The churn overlap scan is local to

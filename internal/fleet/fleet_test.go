@@ -26,9 +26,8 @@ func testConfig() Config {
 	return cfg
 }
 
-// runCanonical builds a supervisor, runs it, and returns the canonical
-// aggregate bytes.
-func runCanonical(t *testing.T, cfg Config, opts RunOptions) []byte {
+// runAggregate builds a supervisor, runs it, and returns the aggregate.
+func runAggregate(t *testing.T, cfg Config, opts RunOptions) *Aggregate {
 	t.Helper()
 	sup, err := NewSupervisor(cfg)
 	if err != nil {
@@ -38,7 +37,13 @@ func runCanonical(t *testing.T, cfg Config, opts RunOptions) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := agg.CanonicalJSON()
+	return agg
+}
+
+// runCanonical runs cfg and returns the canonical aggregate bytes.
+func runCanonical(t *testing.T, cfg Config, opts RunOptions) []byte {
+	t.Helper()
+	b, err := runAggregate(t, cfg, opts).CanonicalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +193,10 @@ func TestCellSeedPerCell(t *testing.T) {
 func TestSessionConfigDerivation(t *testing.T) {
 	cfg := testConfig()
 	cfg.Platform.Delivery = delivery.LTE()
-	cfg.Platform.CollectFrameSamples = true
 	plans := cfg.Plans()
 	var contended bool
 	for _, p := range plans {
 		sc := cfg.sessionConfig(p)
-		if sc.CollectFrameSamples {
-			t.Fatal("session config must force frame samples off")
-		}
 		if sc.Delivery.Seed != p.Seed {
 			t.Fatalf("session %d: delivery seed %d, want plan seed %d", p.Session, sc.Delivery.Seed, p.Seed)
 		}

@@ -1,20 +1,14 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"mach/internal/core"
+	"mach/internal/hashes"
 	"mach/internal/sim"
 	"mach/internal/trace"
 )
-
-// ErrAborted is returned by a session cut short by the abort flag (watchdog
-// restart or graceful stop). An aborted chunk is discarded whole and re-run,
-// never partially committed.
-var ErrAborted = errors.New("fleet: session aborted")
 
 // SessionMetrics is the per-session projection the aggregate folds: flat,
 // JSON-stable (integer times in nanoseconds, shortest-round-trip floats),
@@ -38,14 +32,13 @@ type SessionMetrics struct {
 // runs leave them empty — they exist for fault injection (Injector) and
 // tests.
 type Hooks struct {
-	// SessionStart runs before a session is built. Returning ErrAborted
-	// discards the chunk; any other error (or a panic) quarantines the
-	// session.
-	SessionStart func(session, shard, attempt int, abort func() bool) error
+	// SessionStart runs before a session is built. An error (or a panic)
+	// quarantines the session.
+	SessionStart func(session int) error
 }
 
-// Injector builds the seeded fault-injection hooks the robustness smokes
-// drive: deterministic per-session panics and a first-attempt shard stall.
+// Injector builds the seeded fault-injection hook the robustness smokes
+// drive: deterministic per-session panics.
 type Injector struct {
 	// PanicRate is the probability a session's start hook panics; the draw
 	// is a pure hash of (PanicSeed, session), so the quarantined set is
@@ -53,29 +46,16 @@ type Injector struct {
 	PanicRate float64
 	// PanicSeed seeds the panic draw.
 	PanicSeed int64
-	// StallShard, when >= 0, makes every session of that shard's first
-	// attempt spin until aborted — the watchdog must notice and restart.
-	StallShard int
 }
 
-// Hooks returns the injection hooks. A zero Injector (StallShard 0 counts as
-// a real shard, so use -1 to disable) still injects nothing when PanicRate
-// is 0 and StallShard is negative.
+// Hooks returns the injection hooks; a zero PanicRate injects nothing.
 func (inj Injector) Hooks() Hooks {
+	threshold := uint64(inj.PanicRate * float64(math.MaxUint64))
 	return Hooks{
-		SessionStart: func(session, shard, attempt int, abort func() bool) error {
-			if inj.StallShard >= 0 && shard == inj.StallShard && attempt == 0 {
-				for !abort() {
-					runtime.Gosched()
-				}
-				return ErrAborted
-			}
-			if inj.PanicRate > 0 {
-				threshold := uint64(inj.PanicRate * float64(math.MaxUint64))
-				h := splitmix64(splitmix64(uint64(inj.PanicSeed)) ^ uint64(session)*0x9e3779b97f4a7c15)
-				if h < threshold {
-					panic(fmt.Sprintf("fleet: injected panic in session %d", session))
-				}
+		SessionStart: func(session int) error {
+			h := hashes.SplitMix64(hashes.SplitMix64(uint64(inj.PanicSeed)) ^ uint64(session)*0x9e3779b97f4a7c15)
+			if h < threshold {
+				panic(fmt.Sprintf("fleet: injected panic in session %d", session))
 			}
 			return nil
 		},
@@ -83,12 +63,10 @@ func (inj Injector) Hooks() Hooks {
 }
 
 // sessionConfig derives one session's platform config from the fleet
-// template: per-session delivery seed and bandwidth scale, the cell's shared
-// bottleneck when churn windows overlap, and no frame samples (the
-// aggregate keeps summaries, not 10k sample vectors).
+// template: per-session delivery seed and bandwidth scale, and the cell's
+// shared bottleneck when churn windows overlap.
 func (c Config) sessionConfig(p Plan) core.Config {
 	cfg := c.Platform
-	cfg.CollectFrameSamples = false
 	if cfg.Delivery.Enabled {
 		cfg.Delivery.Seed = p.Seed
 		cfg.Delivery.BandwidthBps *= p.BandwidthScale
@@ -100,21 +78,10 @@ func (c Config) sessionConfig(p Plan) core.Config {
 	return cfg
 }
 
-// runSession drives one viewer session to completion, checking the abort
-// flag at every frame boundary so a watchdog restart or graceful stop never
-// waits on a long tail.
-func runSession(tr *trace.Trace, s core.Scheme, cfg core.Config, abort func() bool) (SessionMetrics, error) {
-	r, err := core.NewRunner(tr, s, cfg)
-	if err != nil {
-		return SessionMetrics{}, err
-	}
-	for !r.Done() {
-		if abort() {
-			return SessionMetrics{}, ErrAborted
-		}
-		r.StepFrame()
-	}
-	res, err := r.Finish()
+// runSession runs one viewer session and projects its Result onto the
+// metrics the aggregate folds.
+func runSession(tr *trace.Trace, s core.Scheme, cfg core.Config) (SessionMetrics, error) {
+	res, err := core.Run(tr, s, cfg)
 	if err != nil {
 		return SessionMetrics{}, err
 	}

@@ -2,11 +2,9 @@ package fleet
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
-	"sync/atomic"
 
 	"mach/internal/checkpoint"
 )
@@ -193,32 +191,21 @@ func (s *shardRun) loadManifest(dir string, fp checkpoint.Fingerprint) error {
 }
 
 // runChunk runs the next CheckpointEvery sessions over the pool and commits
-// them in session order. A chunk the abort flag cut short commits nothing
-// and reports aborted; per-session failures (errors and recovered panics)
+// them in session order. Per-session failures (errors and recovered panics)
 // are quarantined, never propagated.
-func (s *shardRun) runChunk(sup *Supervisor, attempt int, abort *atomic.Bool) (aborted bool) {
+func (s *shardRun) runChunk(sup *Supervisor, hook func(session int) error) {
 	n := min(s.next+sup.cfg.CheckpointEvery, s.hi) - s.next
-	if n <= 0 {
-		return false
-	}
 	base := s.next
 	out := make([]SessionMetrics, n)
-	plans := s.plans
-	shard := s.shard
-	hook := sup.hooks.SessionStart
-	abortFn := abort.Load
 	errs := sup.pool.Map(n, func(k int) error {
-		if abortFn() {
-			return ErrAborted
-		}
 		session := base + k
 		if hook != nil {
-			if err := hook(session, shard, attempt, abortFn); err != nil {
+			if err := hook(session); err != nil {
 				return err
 			}
 		}
-		p := plans[session]
-		m, err := runSession(sup.traceFor(p), sup.cfg.Scheme, sup.cfg.sessionConfig(p), abortFn)
+		p := s.plans[session]
+		m, err := runSession(sup.traceFor(p), sup.cfg.Scheme, sup.cfg.sessionConfig(p))
 		if err != nil {
 			return err
 		}
@@ -226,18 +213,12 @@ func (s *shardRun) runChunk(sup *Supervisor, attempt int, abort *atomic.Bool) (a
 		out[k] = m
 		return nil
 	})
-	for _, err := range errs {
-		if errors.Is(err, ErrAborted) {
-			return true
-		}
-	}
-	for k := 0; k < n; k++ {
-		if errs[k] != nil {
-			s.quar = append(s.quar, QuarantineRecord{Session: base + k, Err: truncateErr(errs[k].Error())})
+	for k, err := range errs {
+		if err != nil {
+			s.quar = append(s.quar, QuarantineRecord{Session: base + k, Err: truncateErr(err.Error())})
 		} else {
 			s.metrics = append(s.metrics, out[k])
 		}
 	}
 	s.next += n
-	return false
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
-	"sync/atomic"
-	"time"
 
 	"mach/internal/checkpoint"
 	"mach/internal/core"
@@ -14,17 +12,9 @@ import (
 	"mach/internal/trace"
 )
 
-// ErrInterrupted is returned by Run when the Stop channel fired: every
-// committed chunk is flushed to its shard manifest, and a later Resume
-// continues bit-identically.
-var ErrInterrupted = errors.New("fleet: interrupted, shard manifests flushed")
-
 // ErrConfig wraps configuration validation failures, so callers can map them
 // to a usage exit instead of a runtime one.
 var ErrConfig = errors.New("fleet: invalid config")
-
-// errStalled signals the monitor's verdict on an aborted attempt internally.
-var errStalled = errors.New("fleet: shard stalled")
 
 // traceKey identifies one shared decode trace: churn buckets session lengths
 // so at most three lengths exist per profile, and every session of a
@@ -41,7 +31,6 @@ type Supervisor struct {
 	plans  []Plan
 	traces map[traceKey]*trace.Trace
 	pool   *par.Pool
-	hooks  Hooks
 }
 
 // RunOptions carries one Run invocation's environment.
@@ -54,17 +43,6 @@ type RunOptions struct {
 	Resume bool
 	// Hooks intercept session execution (fault injection, tests).
 	Hooks Hooks
-	// Watchdog configures stall detection; requires Clock and Sleep.
-	Watchdog WatchdogConfig
-	// Clock returns monotonic elapsed time; Sleep blocks for a duration.
-	// Injected so the fleet package never reads the wall clock itself —
-	// cmd/machfleet passes the real ones, tests pass fakes.
-	Clock func() time.Duration
-	Sleep func(time.Duration)
-	// Stop, when it becomes readable, gracefully interrupts the run: the
-	// in-flight chunk is aborted and discarded, manifests already reflect
-	// every committed chunk, and Run returns ErrInterrupted.
-	Stop <-chan struct{}
 	// Logf, when non-nil, receives progress and recovery lines.
 	Logf func(format string, args ...any)
 }
@@ -111,20 +89,13 @@ func (s *Supervisor) traceFor(p Plan) *trace.Trace {
 	return s.traces[traceKey{p.Profile, p.Frames}]
 }
 
-// Run executes every shard in order, each independently crash-safe, and
-// reduces the committed outcomes to the population aggregate. Shards run
-// sequentially — parallelism lives inside the shard, where sessions fan out
-// over the pool — so the machine is never oversubscribed and progress has
-// one writer per attempt.
+// Run executes every shard in order and reduces the committed outcomes to
+// the population aggregate. Each shard runs a chunk of sessions over the
+// pool, commits it in session order and, with Dir set, saves its manifest
+// before the next chunk starts, so a run killed at any instant resumes from
+// the manifests on disk. Shards run one after another, so parallelism lives
+// inside the chunk and the machine is never oversubscribed.
 func (s *Supervisor) Run(opts RunOptions) (*Aggregate, error) {
-	wd := opts.Watchdog.normalize()
-	if err := opts.Watchdog.Validate(); err != nil {
-		return nil, err
-	}
-	if wd.Enabled() && (opts.Clock == nil || opts.Sleep == nil) {
-		return nil, fmt.Errorf("fleet: watchdog needs Clock and Sleep injected")
-	}
-	s.hooks = opts.Hooks
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -151,12 +122,14 @@ func (s *Supervisor) Run(opts RunOptions) (*Aggregate, error) {
 		shards[i] = sr
 	}
 
-	restarts := 0
 	for _, sr := range shards {
-		r, err := s.runShard(sr, opts, wd, logf)
-		restarts += r
-		if err != nil {
-			return nil, err
+		for !sr.done() {
+			sr.runChunk(s, opts.Hooks.SessionStart)
+			if opts.Dir != "" {
+				if err := sr.saveManifest(opts.Dir, s.cfg.shardFingerprint(sr.shard, sr.lo, sr.hi)); err != nil {
+					return nil, err
+				}
+			}
 		}
 	}
 
@@ -169,110 +142,5 @@ func (s *Supervisor) Run(opts RunOptions) (*Aggregate, error) {
 			}
 		}
 	}
-	return s.aggregate(shards, restarts), nil
-}
-
-// runShard drives one shard to completion through watchdog restarts,
-// returning how many restarts it took.
-func (s *Supervisor) runShard(sr *shardRun, opts RunOptions, wd WatchdogConfig, logf func(string, ...any)) (restarts int, err error) {
-	attempt := 0
-	for !sr.done() {
-		err := s.runAttempt(sr, opts, wd, attempt)
-		switch {
-		case err == nil:
-			// Shard complete.
-		case errors.Is(err, errStalled):
-			if attempt >= wd.MaxRestarts {
-				return restarts, fmt.Errorf("fleet: shard %d still stalled after %d restarts", sr.shard, attempt)
-			}
-			backoff := wd.backoff(attempt)
-			logf("fleet: shard %d stalled at session %d, restarting (attempt %d) after %v",
-				sr.shard, sr.next, attempt+1, backoff)
-			opts.Sleep(backoff)
-			attempt++
-			restarts++
-		default:
-			return restarts, err
-		}
-	}
-	return restarts, nil
-}
-
-// runAttempt runs one shard attempt in a worker goroutine while the monitor
-// loop watches progress, the watchdog deadline, and the stop channel. The
-// attempt goroutine owns the shard state; the monitor reads only the atomic
-// progress counter and the abort flag.
-func (s *Supervisor) runAttempt(sr *shardRun, opts RunOptions, wd WatchdogConfig, attempt int) error {
-	var abort atomic.Bool
-	var progress atomic.Int64
-	progress.Store(int64(sr.next))
-	done := make(chan error, 1)
-	go func(sr *shardRun, attempt int, abort *atomic.Bool, progress *atomic.Int64) {
-		done <- s.driveShard(sr, opts.Dir, attempt, abort, progress)
-	}(sr, attempt, &abort, &progress)
-
-	// The ticker goroutine exists only to turn the injected Sleep into a
-	// channel the monitor can select on; it never touches shared state.
-	var tick chan struct{}
-	var tickStop chan struct{}
-	if wd.Enabled() {
-		tick = make(chan struct{}, 1)
-		tickStop = make(chan struct{})
-		go func(sleep func(time.Duration), d time.Duration, tick chan struct{}, stop chan struct{}) {
-			for {
-				sleep(d)
-				select {
-				case <-stop:
-					return
-				case tick <- struct{}{}:
-				default:
-				}
-			}
-		}(opts.Sleep, wd.Tick, tick, tickStop)
-		defer close(tickStop)
-	}
-
-	dog := watchdog{cfg: wd}
-	if wd.Enabled() {
-		dog.launched(progress.Load(), opts.Clock())
-	}
-	for {
-		select {
-		case err := <-done:
-			if errors.Is(err, ErrAborted) {
-				// The only aborter on this path is the stop channel (a
-				// watchdog abort returns via the stalled branch below).
-				return ErrInterrupted
-			}
-			return err
-		case <-tick:
-			if dog.stalled(progress.Load(), opts.Clock()) {
-				abort.Store(true)
-				<-done // join the aborted attempt; the chunk was discarded
-				return errStalled
-			}
-		case <-opts.Stop:
-			abort.Store(true)
-			<-done
-			return ErrInterrupted
-		}
-	}
-}
-
-// driveShard is the attempt goroutine body: run chunks, commit, persist the
-// manifest, publish progress. Returns ErrAborted when the abort flag cut a
-// chunk short (the monitor decides what that means).
-func (s *Supervisor) driveShard(sr *shardRun, dir string, attempt int, abort *atomic.Bool, progress *atomic.Int64) error {
-	for !sr.done() {
-		if sr.runChunk(s, attempt, abort) {
-			return ErrAborted
-		}
-		if dir != "" {
-			if err := sr.saveManifest(dir, s.cfg.shardFingerprint(sr.shard, sr.lo, sr.hi)); err != nil {
-				return err
-			}
-		}
-		progress.Store(int64(sr.next))
-	}
-	return nil
+	return s.aggregate(shards), nil
 }

@@ -3,63 +3,103 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
-	"runtime"
+	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 )
 
-// abortFrom builds hooks that deterministically interrupt the run the moment
-// any session at or past cut would start — the in-process equivalent of a
-// kill at that point in the schedule.
-func abortFrom(cut int) Hooks {
-	return Hooks{SessionStart: func(session, shard, attempt int, abort func() bool) error {
-		if session >= cut {
-			return ErrAborted
+// killImage runs cfg to completion with checkpointing on and returns a copy
+// of its manifest directory taken the instant session cut starts. A chunk's
+// manifest is saved before the next chunk's first session starts, and no
+// manifest is written while a chunk runs, so the copy is exactly what a
+// SIGKILL at that instant would leave on disk.
+func killImage(t *testing.T, cfg Config, cut int) string {
+	t.Helper()
+	dir, image := t.TempDir(), t.TempDir()
+	hooks := Hooks{SessionStart: func(session int) error {
+		if session != cut {
+			return nil
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			return err
+		}
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				return err
+			}
+			if err := os.WriteFile(filepath.Join(image, e.Name()), b, 0o644); err != nil {
+				return err
+			}
 		}
 		return nil
 	}}
+	agg := runAggregate(t, cfg, RunOptions{Dir: dir, Hooks: hooks})
+	if agg.Quarantined != 0 {
+		t.Fatalf("cut=%d: copying the manifests failed: %+v", cut, agg.Quarantine)
+	}
+	return image
+}
+
+// resumeFrom resumes cfg from the manifests in dir and returns the
+// canonical aggregate, the sessions the run started in ascending order, and
+// its log lines. A completed run must leave dir empty.
+func resumeFrom(t *testing.T, cfg Config, dir string) (agg []byte, started []int, logs []string) {
+	t.Helper()
+	var mu sync.Mutex
+	agg = runCanonical(t, cfg, RunOptions{
+		Dir:    dir,
+		Resume: true,
+		Hooks: Hooks{SessionStart: func(session int) error {
+			mu.Lock()
+			started = append(started, session)
+			mu.Unlock()
+			return nil
+		}},
+		Logf: func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) },
+	})
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("%d manifests left after success (err %v)", len(ents), err)
+	}
+	slices.Sort(started)
+	return agg, started, logs
+}
+
+// sessionRange returns the session indices [lo, hi).
+func sessionRange(lo, hi int) []int {
+	var s []int
+	for i := lo; i < hi; i++ {
+		s = append(s, i)
+	}
+	return s
+}
+
+// killConfig is testConfig with four chunks per shard, so a cut can land
+// inside a shard as well as on a shard boundary.
+func killConfig() Config {
+	cfg := testConfig()
+	cfg.Shards = 2
+	cfg.CheckpointEvery = 2
+	return cfg
 }
 
 func TestResumeAtEveryChunkBoundary(t *testing.T) {
-	cfg := testConfig()
+	cfg := killConfig()
 	want := runCanonical(t, cfg, RunOptions{})
-	for cut := 0; cut <= cfg.Sessions; cut += cfg.CheckpointEvery {
-		dir := t.TempDir()
-		sup, err := NewSupervisor(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = sup.Run(RunOptions{Dir: dir, Hooks: abortFrom(cut)})
-		if cut < cfg.Sessions {
-			if !errors.Is(err, ErrInterrupted) {
-				t.Fatalf("cut=%d: interrupted run returned %v, want ErrInterrupted", cut, err)
-			}
-		} else if err != nil {
-			t.Fatalf("cut=%d: uncut run failed: %v", cut, err)
-		}
-
-		sup2, err := NewSupervisor(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		agg, err := sup2.Run(RunOptions{Dir: dir, Resume: true})
-		if err != nil {
-			t.Fatalf("cut=%d: resume failed: %v", cut, err)
-		}
-		got, err := agg.CanonicalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for cut := 0; cut < cfg.Sessions; cut += cfg.CheckpointEvery {
+		got, started, _ := resumeFrom(t, cfg, killImage(t, cfg, cut))
 		if !bytes.Equal(got, want) {
 			t.Fatalf("cut=%d: resumed aggregate differs:\n%s\nvs\n%s", cut, got, want)
 		}
-		// Success must clear the manifests.
-		if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
-			t.Fatalf("cut=%d: %d manifests left after success (err %v)", cut, len(ents), err)
+		// Every chunk committed before the kill is taken from its manifest,
+		// and nothing at or after the cut's chunk is.
+		if w := sessionRange(cut, cfg.Sessions); !slices.Equal(started, w) {
+			t.Fatalf("cut=%d: resumed run started sessions %v, want %v", cut, started, w)
 		}
 	}
 }
@@ -67,39 +107,25 @@ func TestResumeAtEveryChunkBoundary(t *testing.T) {
 func TestResumeTopologyChange(t *testing.T) {
 	// A run killed under one worker/chunk topology must resume bit-identically
 	// under another: neither is part of the shard fingerprint.
-	cfg := testConfig()
+	cfg := killConfig()
 	want := runCanonical(t, cfg, RunOptions{})
-	dir := t.TempDir()
-	sup, err := NewSupervisor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sup.Run(RunOptions{Dir: dir, Hooks: abortFrom(cfg.Sessions / 2)}); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("interrupted run returned %v", err)
-	}
+	cut := 6 // inside shard 0's range [0,8)
+	image := killImage(t, cfg, cut)
 	resumed := cfg
 	resumed.Workers = 5
 	resumed.CheckpointEvery = 3
-	sup2, err := NewSupervisor(resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := sup2.Run(RunOptions{Dir: dir, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := agg.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, started, _ := resumeFrom(t, resumed, image)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("topology-changed resume differs:\n%s\nvs\n%s", got, want)
+	}
+	if w := sessionRange(cut, cfg.Sessions); !slices.Equal(started, w) {
+		t.Fatalf("resumed run started sessions %v, want %v", started, w)
 	}
 }
 
 func TestPanicInjectionQuarantineDeterministic(t *testing.T) {
 	cfg := testConfig()
-	inj := Injector{PanicRate: 0.25, PanicSeed: 7, StallShard: -1}
+	inj := Injector{PanicRate: 0.25, PanicSeed: 7}
 	var want []byte
 	for _, topo := range [][2]int{{1, 1}, {2, 2}, {4, 3}, {8, 0}} {
 		c := cfg
@@ -107,6 +133,9 @@ func TestPanicInjectionQuarantineDeterministic(t *testing.T) {
 		sup, err := NewSupervisor(c)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if got := len(sup.Plans()); got != c.Sessions {
+			t.Fatalf("topo %v: supervisor derived %d plans, want %d", topo, got, c.Sessions)
 		}
 		agg, err := sup.Run(RunOptions{Hooks: inj.Hooks()})
 		if err != nil {
@@ -139,96 +168,12 @@ func TestPanicInjectionQuarantineDeterministic(t *testing.T) {
 	}
 }
 
-func TestWatchdogRestartsStalledShard(t *testing.T) {
-	cfg := testConfig()
-	want := runCanonical(t, cfg, RunOptions{})
-	sup, err := NewSupervisor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	agg, err := sup.Run(RunOptions{
-		Hooks: Injector{StallShard: 1}.Hooks(),
-		// The deadline must be generous enough that a healthy chunk always
-		// publishes progress first, even under the race detector's slowdown;
-		// the injected stall makes no progress at all, so it still trips.
-		Watchdog: WatchdogConfig{StallDeadline: 3 * time.Second},
-		Clock:    func() time.Duration { return time.Since(start) },
-		Sleep:    time.Sleep,
-	})
-	if err != nil {
-		t.Fatalf("stalled shard not recovered: %v", err)
-	}
-	if agg.Restarts < 1 {
-		t.Fatal("watchdog recorded no restarts")
-	}
-	// Apart from the restart counter the aggregate must match the clean run.
-	agg.Restarts = 0
-	got, err := agg.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("post-restart aggregate differs:\n%s\nvs\n%s", got, want)
-	}
-}
-
-func TestWatchdogGivesUpAfterMaxRestarts(t *testing.T) {
-	cfg := testConfig()
-	cfg.Shards = 2
-	sup, err := NewSupervisor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Unlike the Injector, this stall never clears, so the restart budget
-	// must run out.
-	hooks := Hooks{SessionStart: func(session, shard, attempt int, abort func() bool) error {
-		if shard == 1 {
-			for !abort() {
-				runtime.Gosched()
-			}
-			return ErrAborted
-		}
-		return nil
-	}}
-	start := time.Now()
-	_, err = sup.Run(RunOptions{
-		Hooks: hooks,
-		Watchdog: WatchdogConfig{
-			StallDeadline: time.Second,
-			MaxRestarts:   1,
-			BackoffBase:   time.Millisecond,
-		},
-		Clock: func() time.Duration { return time.Since(start) },
-		Sleep: time.Sleep,
-	})
-	if err == nil || !strings.Contains(err.Error(), "still stalled") {
-		t.Fatalf("permanently stalled shard returned %v, want still-stalled failure", err)
-	}
-}
-
-func TestWatchdogNeedsClockAndSleep(t *testing.T) {
-	sup, err := NewSupervisor(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sup.Run(RunOptions{Watchdog: WatchdogConfig{StallDeadline: time.Second}}); err == nil {
-		t.Fatal("watchdog without Clock/Sleep accepted")
-	}
-}
-
 func TestCorruptManifestRecomputed(t *testing.T) {
 	cfg := testConfig()
 	want := runCanonical(t, cfg, RunOptions{})
-	dir := t.TempDir()
-	sup, err := NewSupervisor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sup.Run(RunOptions{Dir: dir, Hooks: abortFrom(3 * cfg.Sessions / 4)}); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("interrupted run returned %v", err)
-	}
-	path := ManifestPath(dir, 0)
+	cut := 3 * cfg.Sessions / 4
+	image := killImage(t, cfg, cut)
+	path := ManifestPath(image, 0)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -238,17 +183,7 @@ func TestCorruptManifestRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var logs []string
-	sup2, err := NewSupervisor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := sup2.Run(RunOptions{Dir: dir, Resume: true, Logf: func(format string, args ...any) {
-		logs = append(logs, fmt.Sprintf(format, args...))
-	}})
-	if err != nil {
-		t.Fatalf("resume over corrupt manifest failed: %v", err)
-	}
+	got, started, logs := resumeFrom(t, cfg, image)
 	recomputed := 0
 	for _, l := range logs {
 		if strings.Contains(l, "recomputing") {
@@ -258,29 +193,12 @@ func TestCorruptManifestRecomputed(t *testing.T) {
 	if recomputed != 1 {
 		t.Fatalf("%d shards recomputed, want exactly the corrupted one:\n%s", recomputed, strings.Join(logs, "\n"))
 	}
-	got, err := agg.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
+	lo, hi := cfg.ShardRange(0)
+	if w := append(sessionRange(lo, hi), sessionRange(cut, cfg.Sessions)...); !slices.Equal(started, w) {
+		t.Fatalf("resumed run started sessions %v, want shard 0 and %d onwards: %v", started, cut, w)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("post-corruption aggregate differs:\n%s\nvs\n%s", got, want)
-	}
-}
-
-func TestStopChannelInterrupts(t *testing.T) {
-	cfg := testConfig()
-	sup, err := NewSupervisor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(sup.Plans()); got != cfg.Sessions {
-		t.Fatalf("supervisor derived %d plans, want %d", got, cfg.Sessions)
-	}
-	stop := make(chan struct{})
-	close(stop)
-	dir := t.TempDir()
-	if _, err := sup.Run(RunOptions{Dir: dir, Stop: stop}); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("pre-fired stop returned %v, want ErrInterrupted", err)
 	}
 }
 

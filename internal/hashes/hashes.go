@@ -5,7 +5,9 @@
 //
 // All digests are reduced to 32 bits (or 48 for the deep digest) because the
 // MACH tag store budgets 4 bytes per entry; the package exists to make that
-// reduction and the choice of function explicit and swappable.
+// reduction and the choice of function explicit and swappable. It also holds
+// SplitMix64, the one mix behind every seeded hash and generator stream
+// outside the digests.
 package hashes
 
 import (

@@ -152,3 +152,15 @@ func TestMurmur3TailLengths(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitMix64Stream pins the first outputs of the reference SplitMix64
+// generator seeded at 0, so every stream built on it stays bit-identical.
+func TestSplitMix64Stream(t *testing.T) {
+	var state uint64
+	for i, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		if got := SplitMix64(state); got != want {
+			t.Fatalf("output %d = %#016x, want %#016x", i, got, want)
+		}
+		state += 0x9e3779b97f4a7c15
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"mach/internal/dram"
+	"mach/internal/hashes"
 	"mach/internal/sim"
 )
 
@@ -99,12 +100,11 @@ func NewGenerator(cfg TrafficConfig) (*Generator, error) {
 	return &Generator{cfg: cfg, rng: cfg.Seed ^ 0x9E3779B97F4A7C15, cursor: cfg.Region}, nil
 }
 
+// next draws the next output of the generator's SplitMix64 stream.
 func (g *Generator) next() uint64 {
-	g.rng += 0x9E3779B97F4A7C15
-	z := g.rng
-	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
-	z = (z ^ z>>27) * 0x94D049BB133111EB
-	return z ^ z>>31
+	z := hashes.SplitMix64(g.rng)
+	g.rng += 0x9e3779b97f4a7c15
+	return z
 }
 
 // Emit issues the background traffic covering the window [from, to) into
