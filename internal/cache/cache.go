@@ -36,21 +36,22 @@ func (s Stats) String() string {
 	return fmt.Sprintf("acc=%d hit=%.2f%% evict=%d wb=%d", s.Accesses(), 100*s.HitRate(), s.Evictions, s.Writebacks)
 }
 
-type line struct {
+// way holds one resident line.
+type way struct {
 	tag   uint64
-	valid bool
 	dirty bool
-	lru   uint64 // larger = more recently used
 }
 
 // SetAssoc is an N-way set-associative cache with true-LRU replacement.
 // Line size and set count are powers of two, so a line address splits into
-// set index (low bits) and tag (the rest) by shift and mask.
+// set index (low bits) and tag (the rest) by shift and mask. Each set keeps
+// its resident lines in recency order, most recent first, so its least
+// recently used line is its last resident one.
 type SetAssoc struct {
 	sets      int
 	ways      int
-	lines     []line // sets*ways, row-major by set
-	tick      uint64
+	lines     []way // sets*ways, row-major by set
+	used      []int // per set: its first used ways hold resident lines
 	stats     Stats
 	lineShift uint
 	setShift  uint
@@ -76,7 +77,8 @@ func NewSetAssoc(capacityBytes, lineSize, ways int) *SetAssoc {
 	return &SetAssoc{
 		sets:      sets,
 		ways:      ways,
-		lines:     make([]line, sets*ways),
+		lines:     make([]way, sets*ways),
+		used:      make([]int, sets),
 		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
 		setShift:  uint(bits.TrailingZeros(uint(sets))),
 	}
@@ -102,48 +104,41 @@ type AccessResult struct {
 	WritebackAddr uint64 // line address of the dirty victim (valid if Writeback)
 }
 
-// Access looks up the line containing addr; on a miss the line is filled
-// into the set's first invalid way, else its least recently used one (the
-// first among equals). write marks the line dirty.
+// Access looks up the line containing addr and moves it to the front of its
+// set. A missing line enters at the front, evicting nothing while the set
+// has an empty way, else the set's last, least recently used, line. write
+// marks the line dirty.
 func (c *SetAssoc) Access(addr uint64, write bool) AccessResult {
 	setIdx, tag := c.set(addr)
 	set := c.lines[setIdx*c.ways : (setIdx+1)*c.ways]
-	c.tick++
-
-	for w := range set {
-		if ln := &set[w]; ln.valid && ln.tag == tag {
-			ln.lru = c.tick
-			if write {
-				ln.dirty = true
-			}
-			c.stats.Hits++
-			return AccessResult{Hit: true}
-		}
+	n := c.used[setIdx]
+	w := 0
+	for w < n && set[w].tag != tag {
+		w++
 	}
 
-	victim := 0
-	for w := range set {
-		if !set[w].valid {
-			victim = w
-			break
-		}
-		if set[w].lru < set[victim].lru {
-			victim = w
-		}
-	}
-
-	c.stats.Misses++
-	res := AccessResult{}
-	v := &set[victim]
-	if v.valid {
+	res := AccessResult{Hit: w < n}
+	switch {
+	case res.Hit:
+		c.stats.Hits++
+		write = write || set[w].dirty
+	case n < c.ways:
+		c.stats.Misses++
+		c.used[setIdx]++
+	default:
+		c.stats.Misses++
 		c.stats.Evictions++
-		if v.dirty {
+		w--
+		if set[w].dirty {
 			c.stats.Writebacks++
 			res.Writeback = true
-			res.WritebackAddr = (v.tag<<c.setShift | uint64(setIdx)) << c.lineShift
+			res.WritebackAddr = (set[w].tag<<c.setShift | uint64(setIdx)) << c.lineShift
 		}
 	}
-	*v = line{tag: tag, valid: true, dirty: write, lru: c.tick}
+	for ; w > 0; w-- { // shift the more recent lines back over way w
+		set[w] = set[w-1]
+	}
+	set[0] = way{tag: tag, dirty: write}
 	return res
 }
 

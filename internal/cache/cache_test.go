@@ -67,11 +67,11 @@ func TestLRUEviction(t *testing.T) {
 }
 
 // resident reports whether addr's line is in the tag store, without
-// touching LRU state or stats.
+// touching recency order or stats.
 func resident(c *SetAssoc, addr uint64) bool {
 	setIdx, tag := c.set(addr)
-	for _, ln := range c.lines[setIdx*c.ways : (setIdx+1)*c.ways] {
-		if ln.valid && ln.tag == tag {
+	for _, w := range c.lines[setIdx*c.ways : setIdx*c.ways+c.used[setIdx]] {
+		if w.tag == tag {
 			return true
 		}
 	}

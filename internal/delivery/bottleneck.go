@@ -113,10 +113,10 @@ type ContentionStats struct {
 // activity threshold. A pure function of its arguments — evaluation order
 // cannot matter.
 func (b Bottleneck) activeSessions(quantum int64) int {
-	threshold := uint64(b.ActiveProb * float64(math.MaxUint64))
 	if b.ActiveProb >= 1 {
 		return b.Sessions - 1
 	}
+	threshold := uint64(b.ActiveProb * float64(math.MaxUint64))
 	n := 0
 	for s := 1; s < b.Sessions; s++ {
 		h := hashes.SplitMix64(hashes.SplitMix64(uint64(b.Seed)^uint64(quantum)*0x9e3779b97f4a7c15) + uint64(s))

@@ -48,13 +48,18 @@ type Injector struct {
 	PanicSeed int64
 }
 
-// Hooks returns the injection hooks; a zero PanicRate injects nothing.
+// Hooks returns the injection hooks; a zero PanicRate injects nothing and a
+// PanicRate of 1 or more panics every session.
 func (inj Injector) Hooks() Hooks {
-	threshold := uint64(inj.PanicRate * float64(math.MaxUint64))
+	all := inj.PanicRate >= 1
+	var threshold uint64
+	if !all { // at 1, PanicRate*MaxUint64 is 2^64, out of uint64's range
+		threshold = uint64(inj.PanicRate * float64(math.MaxUint64))
+	}
 	return Hooks{
 		SessionStart: func(session int) error {
 			h := hashes.SplitMix64(hashes.SplitMix64(uint64(inj.PanicSeed)) ^ uint64(session)*0x9e3779b97f4a7c15)
-			if h < threshold {
+			if all || h < threshold {
 				panic(fmt.Sprintf("fleet: injected panic in session %d", session))
 			}
 			return nil

@@ -168,6 +168,24 @@ func TestPanicInjectionQuarantineDeterministic(t *testing.T) {
 	}
 }
 
+// TestPanicInjectionRateBounds pins the injector's end points: rate 1
+// panics every session's start hook and rate 0 none.
+func TestPanicInjectionRateBounds(t *testing.T) {
+	for _, rate := range []float64{0, 1} {
+		start := Injector{PanicRate: rate, PanicSeed: 7}.Hooks().SessionStart
+		for session := 0; session < 256; session++ {
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				_ = start(session)
+				return false
+			}()
+			if panicked != (rate == 1) {
+				t.Fatalf("rate %g: session %d panicked = %v", rate, session, panicked)
+			}
+		}
+	}
+}
+
 func TestCorruptManifestRecomputed(t *testing.T) {
 	cfg := testConfig()
 	want := runCanonical(t, cfg, RunOptions{})
