@@ -105,7 +105,9 @@ func (l Ladder) Validate() error {
 			}
 		}
 	}
-	//lint:ignore floateq the top rung is the native stream only when CostScale is exactly 1.0 — the bit-identity fast path keys on that literal, so an epsilon would admit scales that perturb goldens
+	// Exact comparison on purpose: the top rung is the native stream only
+	// when CostScale is exactly 1.0. The bit-identity fast path keys on
+	// that literal, so an epsilon would admit scales that perturb goldens.
 	if top := l[len(l)-1]; top.CostScale != 1 || top.QuantShift != 0 {
 		return fmt.Errorf("%w: top rung must be the native stream (cost scale 1, quant shift 0), got %g/%d",
 			ErrBadManifest, top.CostScale, top.QuantShift)

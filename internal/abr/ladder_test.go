@@ -134,9 +134,9 @@ func TestParseLadderRejections(t *testing.T) {
 		"junk line":        "MACHLADDER v1\nstep 400 0.4 4\n",
 		"short line":       "MACHLADDER v1\nrung 400 0.4\n",
 		"long line":        "MACHLADDER v1\nrung 400 0.4 4 extra\n",
-		"bad bitrate":      "MACHLADDER v1\nrung four 0.4 4\n",
-		"bad scale":        "MACHLADDER v1\nrung 400 forty 4\n",
-		"bad shift":        "MACHLADDER v1\nrung 400 0.4 four\n",
+		"bad bitrate":      "MACHLADDER v1\nrung four 1 0\n",
+		"bad scale":        "MACHLADDER v1\nrung 400 forty 0\n",
+		"bad shift":        "MACHLADDER v1\nrung 400 1 four\n",
 		"no rungs":         "MACHLADDER v1\n# just a comment\n",
 		"invalid ladder":   "MACHLADDER v1\nrung 400 0.4 4\nrung 400 1 0\n",
 		"top not native":   "MACHLADDER v1\nrung 400 0.4 4\n",
@@ -144,6 +144,15 @@ func TestParseLadderRejections(t *testing.T) {
 		"too many rungs":   manyRungManifest(MaxRungs + 1),
 		"scale inf":        "MACHLADDER v1\nrung 400 Inf 4\n",
 		"negative bitrate": "MACHLADDER v1\nrung -400 1 0\n",
+	}
+	// Each bad-field manifest is a valid single-rung ladder but for that
+	// field, so only the field's own parse check can reject it, and its
+	// error must quote the token. Without the check, a later field's parse
+	// overwrites the error and the zero value fails validation instead.
+	quotes := map[string]string{
+		"bad bitrate": `"four"`,
+		"bad scale":   `"forty"`,
+		"bad shift":   `"four"`,
 	}
 	for name, m := range bad {
 		_, err := ParseLadder([]byte(m))
@@ -153,6 +162,9 @@ func TestParseLadderRejections(t *testing.T) {
 		}
 		if !errors.Is(err, ErrBadManifest) {
 			t.Errorf("%s: error %v does not wrap ErrBadManifest", name, err)
+		}
+		if q := quotes[name]; q != "" && !strings.Contains(err.Error(), q) {
+			t.Errorf("%s: error %q does not quote the bad field %s", name, err, q)
 		}
 	}
 	// Exactly MaxRungs is fine.

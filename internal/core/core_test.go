@@ -317,6 +317,17 @@ func TestSlackPredictiveScheme(t *testing.T) {
 	if rts.Drops != 0 {
 		t.Fatalf("race-to-sleep dropped %d", rts.Drops)
 	}
+	// The predictor boosts only the frames it predicts would miss at the
+	// low point, which on V5 is about a tenth of the decode time: its
+	// decoder energy lies above decoding everything at the low point and
+	// below the midpoint to the high one. A predictor that never races, or
+	// races nearly every frame, fails here.
+	busy := float64(sp.Dec.ActiveEnergy)
+	lo := float64(cfg.Decoder.PowerLow.Over(sp.BusyTime))
+	hi := float64(cfg.Decoder.PowerHigh.Over(sp.BusyTime))
+	if share := (busy - lo) / (hi - lo); !(share > 1e-6 && share < 0.5) {
+		t.Fatalf("slack prediction decodes %.3f of its busy time at the high point, want some but under half", share)
+	}
 	// Mutual exclusion with racing.
 	bad := SlackPredictive()
 	bad.Race = true

@@ -9,11 +9,11 @@ import (
 	"mach/internal/video"
 )
 
-// These tests lock in at runtime what the machlint determinism analyzer
-// enforces statically (see internal/lint): the same seeded workload must
-// produce deep-equal traces and bit-identical measurements on every run. If
-// either test fails, every table and figure the repo reproduces stops being
-// comparable across machines and PRs.
+// These tests hold the replay guarantee (DESIGN.md "Determinism & lint
+// invariants"): the same seeded workload must produce deep-equal traces
+// and bit-identical measurements on every run. If either test fails, every
+// table and figure the repo reproduces stops being comparable across
+// machines and PRs.
 
 // TestTraceBuildDeterministic synthesizes the same seeded workload twice
 // and requires the two traces to be deep-equal: pixels, work records and

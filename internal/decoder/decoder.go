@@ -421,7 +421,9 @@ func (ip *IP) DecodeFrame(
 		case codec.MabB:
 			c += 2 * cfg.CyclesMC
 		}
-		//lint:ignore floateq exact sentinel: only the literal 1.0 skips the scaling multiply, keeping the native-quality path arithmetically untouched (golden bit-identity)
+		// Exact sentinel: only the literal 1.0 skips the scaling multiply,
+		// keeping the native-quality path arithmetically untouched (golden
+		// bit-identity).
 		if workScale != 1 {
 			c = sim.Cycles(float64(c) * workScale)
 		}

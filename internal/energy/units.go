@@ -2,10 +2,11 @@ package energy
 
 // Joules is the canonical energy quantity every ledger in the simulator
 // accumulates and every Fig 11 component reports. It is a named unit type
-// (DESIGN.md "machlint v2: unit types"): adding a Joules value to a
+// (DESIGN.md "Determinism & lint invariants"): adding a Joules value to a
 // same-shaped quantity of another dimension — power, time, a picojoule
-// count — fails to compile, and the unitflow analyzer propagates the
-// dimension through plain-float locals derived from it.
+// count — fails to compile. Arithmetic that converts out to plain floats
+// is held by the ledger identities of TestEnergyComponentsSumToTotal, which
+// check every component against the residency it was booked from.
 //
 // The underlying representation is the same float64 the accounting always
 // used, so wrapping a value is bit-exact: converting a field to Joules

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
+	"mach/internal/hashes"
+	"mach/internal/mach"
 	"mach/internal/stats"
 	"mach/internal/video"
 )
@@ -98,10 +102,65 @@ func TestFig7bAndFig9a(t *testing.T) {
 	checkTable(t, tb, err, "avg")
 }
 
+// cellSep separates a rendered table's cells: at least two spaces, where a
+// cell holds at most single spaces.
+var cellSep = regexp.MustCompile(`\s{2,}`)
+
+// tableRows splits a rendered table into its data rows' cells.
+func tableRows(tb *stats.Table) [][]string {
+	lines := strings.Split(strings.TrimRight(tb.String(), "\n"), "\n")
+	var rows [][]string
+	for _, l := range lines[2:] { // header and rule
+		rows = append(rows, cellSep.Split(strings.TrimSpace(l), -1))
+	}
+	return rows
+}
+
+// TestFig9bPopularity recomputes each mode's top-1/8/64 shares from the
+// same MACH pass's per-digest match counts, so a count the table takes in
+// map order instead of by size fails here, and requires gab's top digest
+// to capture a larger share than mab's, the direction of the paper's
+// 58% against 20%.
 func TestFig9bPopularity(t *testing.T) {
 	r := NewRunner(tinyConfig())
 	tb, err := r.Fig9b()
 	checkTable(t, tb, err, "gab")
+	rows := tableRows(tb)
+	top1 := map[string]float64{}
+	for i, gradient := range []bool{false, true} {
+		cfg := mach.DefaultConfig()
+		cfg.Gradient = gradient
+		cfg.TrackPopularity = true
+		st, err := r.machPass(r.Cfg.Videos[0], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var counts []int64
+		var total int64
+		for _, c := range st.DigestMatches {
+			counts = append(counts, c)
+			total += c
+		}
+		slices.Sort(counts)
+		slices.Reverse(counts)
+		if total == 0 {
+			t.Fatalf("row %d: no digest matches to rank", i)
+		}
+		row := rows[i]
+		for j, k := range []int{1, 8, 64} {
+			var s int64
+			for _, c := range counts[:min(k, len(counts))] {
+				s += c
+			}
+			if want := pct(float64(s) / float64(total)); row[1+j] != want {
+				t.Errorf("%s top-%d = %s, want %s (the %d largest of %d digest counts)", row[0], k, row[1+j], want, k, len(counts))
+			}
+		}
+		top1[row[0]] = float64(counts[0]) / float64(total)
+	}
+	if top1["gab"] <= top1["mab"] {
+		t.Errorf("gab top-1 %s not above mab top-1 %s", pct(top1["gab"]), pct(top1["mab"]))
+	}
 }
 
 func TestFig11Tiny(t *testing.T) {
@@ -130,6 +189,14 @@ func TestFig12dCollisions(t *testing.T) {
 	r := NewRunner(tinyConfig())
 	tb, err := r.Fig12d()
 	checkTable(t, tb, err, "CO-MACH")
+	// One row per digest function, in hashes.AllFuncs order. Fig12d keeps
+	// its trackers in a map; its rows must not take the map's order.
+	rows := tableRows(tb)
+	for i, f := range hashes.AllFuncs() {
+		if rows[i][0] != f.String() {
+			t.Errorf("row %d is %q, want %q (rows in hashes.AllFuncs order)", i, rows[i][0], f)
+		}
+	}
 }
 
 func TestExtensionExperiments(t *testing.T) {

@@ -141,7 +141,8 @@ func (r *Runner) Fig9b() (*stats.Table, error) {
 		}
 		counts := make([]int64, 0, len(st.DigestMatches))
 		var total int64
-		//lint:ignore determinism values-only aggregation; counts are sorted below so map order cannot leak
+		// Values-only aggregation: the counts are sorted below, so map order
+		// cannot leak (TestFig9bPopularity recomputes every share).
 		for _, c := range st.DigestMatches {
 			counts = append(counts, c)
 			total += c

@@ -7,11 +7,10 @@ import (
 )
 
 // FuzzLoaderParse drives arbitrary source through the loader's
-// single-file pipeline — parse, type-check with soft-error collection,
-// directive parsing and the full analyzer suite (CFG construction
-// included). The invariant is robustness: malformed, half-typed or
+// single-file pipeline — parse, type-check with soft-error collection —
+// and then errcheck. The invariant is robustness: malformed, half-typed or
 // adversarial source may produce diagnostics or be rejected, but must
-// never panic the framework. CI runs this as a bounded smoke
+// never panic the loader or the check. CI runs this as a bounded smoke
 // (-fuzztime 30s); longer local runs just use `go test -fuzz`.
 func FuzzLoaderParse(f *testing.F) {
 	seeds := []string{
@@ -20,9 +19,9 @@ func FuzzLoaderParse(f *testing.F) {
 		"package p\n\ntype Joules float64\n\nfunc f(a, b Joules) Joules { return a + b }\n",
 		"package p\n\nfunc f(n int) int {\n\tx := 0\nloop:\n\tfor i := 0; i < n; i++ {\n\t\tswitch i {\n\t\tcase 0:\n\t\t\tfallthrough\n\t\tcase 1:\n\t\t\tcontinue loop\n\t\tdefault:\n\t\t\tbreak loop\n\t\t}\n\t}\n\tgoto done\ndone:\n\treturn x\n}\n",
 		"package p\n\nfunc mayFail() error { return nil }\n\nfunc f(cond bool) error {\n\terr := mayFail()\n\tif cond {\n\t\terr = mayFail()\n\t}\n\treturn err\n}\n",
-		"package p\n\n//lint:ignore all fixture reason\nvar x = 1\n",
-		"package p\n\n//lint:ignore\nvar x = 1\n",
-		"package p\n\nvar energyPJ = 1.0\nvar busyNs = 2.0\nvar bad = energyPJ + busyNs\n",
+		"package p\n\nimport \"os\"\n\nfunc f(fh *os.File) {\n\tfh.Sync()\n\tdefer fh.Close()\n}\n",
+		"package p\n\nimport \"io\"\n\nfunc f(w io.Writer, r io.Reader) { io.Copy(w, r) }\n",
+		"package p\n\nimport \"os\"\n\nfunc f() { undefined.Sync(); os.Remove() }\n",
 		"package p\n\nfunc f() { select {} }\n",
 		"package p\n\nfunc f(ch chan int) {\n\tselect {\n\tcase v := <-ch:\n\t\t_ = v\n\tdefault:\n\t}\n}\n",
 		"package p\n\nfunc f() {\n\tdefer func() { recover() }()\n\tpanic(1)\n}\n",
@@ -43,9 +42,9 @@ func FuzzLoaderParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Half-typed packages (pkg.TypeErrors non-empty) are analyzed on
-		// purpose: the loader surfaces soft errors and keeps going, so the
-		// analyzers must tolerate partially filled type info.
-		RunAnalyzers(fset, []*Package{pkg}, All())
+		// Half-typed packages (pkg.TypeErrors non-empty) are checked on
+		// purpose: the loader surfaces soft errors and keeps going, so
+		// errcheck must tolerate partially filled type info.
+		ErrCheck(fset, []*Package{pkg})
 	})
 }

@@ -17,13 +17,12 @@ import (
 // analysis.
 type Package struct {
 	Path  string // import path, e.g. "mach/internal/sim"
-	Dir   string
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
 	// TypeErrors collects soft type-checking problems. A tree that passes
-	// `go build` produces none; they are surfaced so machlint can warn
-	// rather than silently analyze a half-typed package.
+	// `go build` produces none; they are surfaced so the root lint test can
+	// fail rather than silently check a half-typed package.
 	TypeErrors []error
 }
 
@@ -31,8 +30,8 @@ type Package struct {
 // rooted at dir, using only the standard library: module-internal imports
 // resolve against the packages being loaded (in dependency order) and all
 // other imports resolve through the stdlib source importer. Test files are
-// excluded by design — the lint invariants target production code, and the
-// checks themselves carve out different rules for tests.
+// excluded by design: errcheck polices production I/O, and tests may drop
+// errors from fixtures they build themselves.
 func LoadModule(root string) (*token.FileSet, []*Package, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -70,7 +69,7 @@ func LoadModule(root string) (*token.FileSet, []*Package, error) {
 		if rel != "." {
 			importPath = modPath + "/" + filepath.ToSlash(rel)
 		}
-		byPath[importPath] = &Package{Path: importPath, Dir: path, Files: files}
+		byPath[importPath] = &Package{Path: importPath, Files: files}
 		order = append(order, importPath)
 		return nil
 	})
@@ -214,25 +213,16 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	return m.std.Import(path)
 }
 
-// newInfo returns a types.Info with every map the analyzers consult.
-func newInfo() *types.Info {
-	return &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-}
-
-// typeCheck runs go/types over one package, collecting soft errors.
+// typeCheck runs go/types over one package, collecting soft errors. Info
+// records only Uses, the one map errcheck reads to resolve callees.
 func typeCheck(fset *token.FileSet, pkg *Package, imp types.Importer) error {
-	info := newInfo()
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
 	conf := types.Config{
 		Importer: imp,
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
-	//lint:ignore pathcheck a non-nil err beside a usable package only repeats the soft errors already collected through conf.Error
+	// A non-nil err beside a usable package only repeats the soft errors
+	// already collected through conf.Error.
 	tpkg, err := conf.Check(pkg.Path, fset, pkg.Files, info)
 	if tpkg == nil {
 		return err
@@ -243,8 +233,8 @@ func typeCheck(fset *token.FileSet, pkg *Package, imp types.Importer) error {
 }
 
 // CheckFile type-checks a single standalone file as its own package with
-// the given import path — the golden-test entry point. Imports resolve
-// through the stdlib source importer only.
+// the given import path, for the errcheck table tests and the loader fuzz
+// target. Imports resolve through the stdlib source importer only.
 func CheckFile(fset *token.FileSet, f *ast.File, path string) (*Package, error) {
 	pkg := &Package{Path: path, Files: []*ast.File{f}}
 	imp := importer.ForCompiler(fset, "source", nil)

@@ -484,7 +484,9 @@ func (w *Writeback) ProcessFrame(fr *codec.Frame, displayIndex int, bufferBase, 
 	// Phase 1 — prehash: every per-mab value that is a pure function of the
 	// frame content (digest, aux, shadow fingerprint), read from the shared
 	// digest table when one is installed for the current quant shift.
-	//lint:ignore determinism host-clock benchmark instrumentation: the measured duration feeds only the PrehashWall accumulator the repository benchmark reads, never any simulated quantity
+	// The host clock is benchmark instrumentation: the measured duration
+	// feeds only the PrehashWall accumulator the repository benchmark
+	// reads, never any simulated quantity.
 	prehashStart := time.Now()
 	var digests []uint32
 	var auxes []uint16

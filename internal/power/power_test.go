@@ -45,6 +45,25 @@ func TestBreakEvenOrdering(t *testing.T) {
 	}
 }
 
+// A transition cheap enough that sleeping would pay off before the
+// transition itself completes still cannot be taken in less slack than the
+// transition lasts: BreakEven clamps the solved time to the transition
+// time.
+func TestBreakEvenCoversTransition(t *testing.T) {
+	c := DefaultConfig()
+	c.S1TransitionEnergy = 50e-6 // solved break-even 0.29 ms, under the 0.8 ms trip
+	c.S3TransitionEnergy = 60e-6 // solved 0.47 ms, under the 1.6 ms trip
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []State{S1, S3} {
+		tr, _ := c.transition(s)
+		if be := c.BreakEven(s); be != tr {
+			t.Errorf("%v: break-even %v, want the transition time %v", s, be, tr)
+		}
+	}
+}
+
 func TestBreakEvenIsActuallyBreakEven(t *testing.T) {
 	// At exactly the break-even slack, sleeping must cost no more than
 	// idling; just below, idling must win (checked at 99%).

@@ -7,9 +7,9 @@ import (
 
 // Watts is the canonical power quantity of every IP model (decoder P-state
 // power, display scan power, DRAM background power, radio states). It is a
-// named unit type (DESIGN.md "machlint v2: unit types"): mixing it
-// additively with energy or time fails to compile, and the unitflow
-// analyzer tracks its dimension through derived float locals. The
+// named unit type (DESIGN.md "Determinism & lint invariants"): mixing it
+// additively with energy or time fails to compile, and a power booked as
+// energy through plain floats fails TestEnergyComponentsSumToTotal. The
 // underlying float64 is unchanged, so wrapping existing fields is
 // bit-exact.
 type Watts float64

@@ -16,8 +16,8 @@ import (
 )
 
 // BytesPerSecond is an average bandwidth. A named unit type (DESIGN.md
-// "machlint v2: unit types"): bandwidths cannot be added to byte counts or
-// durations without an explicit conversion.
+// "Determinism & lint invariants"): bandwidths cannot be added to byte
+// counts or durations without an explicit conversion.
 type BytesPerSecond float64
 
 // MHz is the megahertz scale board files and datasheets quote SoC clocks
